@@ -24,17 +24,6 @@ _NAIVE_ADVISORY = (
     "exceeds {limit}); trust the NP_* verdicts instead"
 )
 
-CRITERION_IDS = (
-    "NP_ENT",
-    "NP_STEER",
-    "NAIVE_ENT",
-    "NAIVE_STEER",
-    "HZ_ENT",
-    "HZ_STEER_A_BY_B",
-    "HZ_STEER_B_BY_A",
-    "SM_UR",
-)
-
 CURVE_IDS = ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
 
 

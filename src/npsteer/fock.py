@@ -2,10 +2,11 @@
 
 Conventions used throughout the package:
 
-* a two-mode pure state is a dense complex grid ``c[m, n] = <m, n|psi>``
+* a two-mode pure state is a complex grid ``c[m, n] = <m, n|psi>``
   with ``0 <= m, n <= cutoff``,
 * "sector N" is the eigenspace of the total number operator ``N1 + N2``
-  with eigenvalue N,
+  with eigenvalue N; every state exposes its sectors as one flat, ragged
+  ``SectorView``, the layout all intra-sector observables read,
 * every infinite family (squeezed states, noise distributions) is
   truncated at an explicit tail tolerance and renormalized; the kept
   mass fraction is reported so callers can bound the truncation error.
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 NORM_TOL = 1e-12
 OFF_SECTOR_TOL = 1e-14
@@ -35,26 +36,68 @@ class TruncationError(Exception):
         self.required_cutoff = required_cutoff
 
 
-@dataclass(frozen=True)
+class SectorView(NamedTuple):
+    """A state's total-number sectors as one flat, ragged layout.
+
+    Sector s holds ``amps[starts[s]:starts[s + 1]]``, its amplitudes on
+    |m>|N - m> for N = ``totals[s]`` and consecutive m from ``first_m[s]``,
+    times the root of its weight (1 if pure). Sectors without amplitude are
+    left out; N increases from sector to sector.
+    """
+
+    amps: np.ndarray
+    starts: np.ndarray
+    totals: np.ndarray
+    first_m: np.ndarray
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupations (m, n) of modes 1 and 2 at every entry, as new float arrays."""
+        counts = np.diff(self.starts)
+        m = np.arange(len(self.amps), dtype=float)
+        m -= np.repeat(self.starts[:-1] - self.first_m, counts)
+        n = np.repeat(self.totals.astype(float), counts)
+        n -= m
+        return m, n
+
+    def neighbor_products(self) -> np.ndarray:
+        """conj(amps[i]) * amps[i + 1]: entries m and m + 1 of one sector, 0 across sectors."""
+        pairs = np.conj(self.amps[:-1])
+        pairs *= self.amps[1:]
+        pairs[self.starts[1:-1] - 1] = 0.0
+        return pairs
+
+
+def _sector_view(blocks: Iterable[tuple[int, int, np.ndarray, float]]) -> SectorView:
+    """View of (N, first m, amplitudes, weight) blocks given in increasing N."""
+    kept = [(n, m0, a, math.sqrt(w)) for n, m0, a, w in blocks if w > 0.0 and np.any(a)]
+    starts = np.concatenate(([0], np.cumsum([len(b[2]) for b in kept], dtype=np.int64)))
+    flat = np.empty(starts[-1], dtype=np.complex128)
+    for (_, _, amps, scale), lo, hi in zip(kept, starts[:-1], starts[1:]):
+        np.multiply(amps, scale, out=flat[lo:hi])
+    totals, first_m = (np.array([b[i] for b in kept], dtype=np.int64) for i in (0, 1))
+    return SectorView(flat, starts, totals, first_m)
+
+
 class PureTwoModeState:
     """Pure state on the product of two truncated Fock spaces.
 
     ``coeffs[m, n]`` is the amplitude on ``|m>|n>``. The grid is square,
-    unit-norm within ``NORM_TOL`` and read-only after construction.
+    unit-norm within ``NORM_TOL`` and read-only. A state built with
+    ``from_sector`` lives in one total-number sector: it stores that
+    anti-diagonal only and builds the grid the first time ``coeffs`` is read.
     """
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+    def __init__(self, coeffs: np.ndarray):
+        c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
             raise ValueError(f"coefficient grid must be square and non-empty, got shape {c.shape}")
         norm = float(np.sum(np.abs(c) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm**2 = {norm!r} deviates from 1 beyond {NORM_TOL}")
         c = c.copy()
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        self._coeffs = c
+        self._sector = None
 
     @classmethod
     def normalized(cls, coeffs: np.ndarray) -> "PureTwoModeState":
@@ -65,12 +108,42 @@ class PureTwoModeState:
             raise ValueError("cannot normalize an all-zero coefficient grid")
         return cls(c / norm)
 
+    @classmethod
+    def from_sector(cls, total: int, amps: np.ndarray) -> "PureTwoModeState":
+        """The state with amplitudes ``amps[m]`` on |m>|total - m>, normalized here."""
+        raw = np.array(amps, dtype=np.complex128)
+        state = cls.__new__(cls)
+        state._coeffs = None
+        state._sector = SectorState(total, raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
+        state._raw = raw  # the grid is built from these, as a dense construction would
+        return state
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            n = self._sector.total
+            grid = np.zeros((n + 1, n + 1), dtype=np.complex128)
+            grid[np.arange(n + 1), n - np.arange(n + 1)] = self._raw
+            self._coeffs = PureTwoModeState.normalized(grid).coeffs
+        return self._coeffs
+
     @property
     def cutoff(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return len(self._coeffs) - 1 if self._sector is None else self._sector.total
+
+    @cached_property
+    def sector_view(self) -> SectorView:
+        if self._sector is not None:
+            return _sector_view([(self._sector.total, 0, self._sector.amps, 1.0)])
+        c, k = self._coeffs, len(self._coeffs)
+        blocks = []
+        for n in range(2 * k - 1):
+            m = np.arange(max(0, n - k + 1), min(n, k - 1) + 1)
+            blocks.append((n, m[0], c[m, n - m], 1.0))
+        return _sector_view(blocks)
 
     def total_mass(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float(np.sum(np.abs(self.sector_view.amps) ** 2))
 
     def sector_amplitudes(self, total: int) -> np.ndarray:
         """Amplitudes on the anti-diagonal m + n = total, indexed by m in 0..total.
@@ -80,22 +153,17 @@ class PureTwoModeState:
         if total < 0:
             raise ValueError("total number must be >= 0")
         amps = np.zeros(total + 1, dtype=np.complex128)
-        m_lo = max(0, total - self.cutoff)
-        m_hi = min(total, self.cutoff)
-        if m_lo <= m_hi:
-            m = np.arange(m_lo, m_hi + 1)
-            amps[m] = self.coeffs[m, total - m]
+        view = self.sector_view
+        for s in np.flatnonzero(view.totals == total):
+            m0, lo, hi = view.first_m[s], view.starts[s], view.starts[s + 1]
+            amps[m0 : m0 + hi - lo] = view.amps[lo:hi]
         return amps
 
     def sector_masses(self) -> np.ndarray:
         """Probability mass per total-number sector, index N in 0..2*cutoff."""
-        p = np.abs(self.coeffs) ** 2
-        # sum of anti-diagonals m + n = N
-        return np.bincount(
-            (np.arange(p.shape[0])[:, None] + np.arange(p.shape[1])[None, :]).ravel(),
-            weights=p.ravel(),
-            minlength=2 * self.cutoff + 1,
-        )
+        view = self.sector_view
+        masses = np.add.reduceat(np.abs(view.amps) ** 2, view.starts[:-1])
+        return np.bincount(view.totals, masses, 2 * self.cutoff + 1)
 
 
 def _number_phase_amps(n: int, phi: float) -> np.ndarray:
@@ -103,8 +171,23 @@ def _number_phase_amps(n: int, phi: float) -> np.ndarray:
     return np.exp(1j * phi * m) / math.sqrt(n + 1)
 
 
+_log_factorial = np.zeros(1)  # ln k! for k = 0, 1, ...; grown on demand, never changed
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n (at least), from one table shared by all callers."""
+    global _log_factorial
+    have = len(_log_factorial)
+    if have <= n:
+        more = np.array([math.lgamma(k + 1.0) for k in range(have, n + 1)])
+        _log_factorial = np.concatenate((_log_factorial, more))
+    return _log_factorial
+
+
 def _split_fock_amps(n: int, phi: float, transmissivity: float) -> np.ndarray:
     t = transmissivity
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {t!r}")
     m = np.arange(n + 1)
     if n <= _EXACT_BINOM_LIMIT:
         binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
@@ -114,7 +197,8 @@ def _split_fock_amps(n: int, phi: float, transmissivity: float) -> np.ndarray:
             sm = np.where(n - m == 0, 1.0, (1.0 - t) ** (n - m).astype(float))
         weights = binom * tm * sm
     else:
-        log_binom = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+        log_fact = _log_factorials(n)
+        log_binom = log_fact[n] - log_fact[m] - log_fact[n - m]
         if t in (0.0, 1.0):
             weights = np.zeros(n + 1)
             weights[n if t == 1.0 else 0] = 1.0
@@ -125,14 +209,6 @@ def _split_fock_amps(n: int, phi: float, transmissivity: float) -> np.ndarray:
     return np.sqrt(weights) * np.exp(1j * phi * m)
 
 
-def _state_from_sector_amps(amps: np.ndarray) -> PureTwoModeState:
-    n = len(amps) - 1
-    grid = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    m = np.arange(n + 1)
-    grid[m, n - m] = amps
-    return PureTwoModeState.normalized(grid)
-
-
 def number_phase_state(n: int, phi: float) -> PureTwoModeState:
     """Fixed total number N with a uniformly weighted relative-phase profile.
 
@@ -140,7 +216,7 @@ def number_phase_state(n: int, phi: float) -> PureTwoModeState:
     """
     if n < 0 or n != int(n):
         raise ValueError(f"total number must be a non-negative integer, got {n!r}")
-    return _state_from_sector_amps(_number_phase_amps(int(n), float(phi)))
+    return PureTwoModeState.from_sector(int(n), _number_phase_amps(int(n), float(phi)))
 
 
 def split_fock_state(n: int, phi: float, transmissivity: float = 0.5) -> PureTwoModeState:
@@ -150,10 +226,9 @@ def split_fock_state(n: int, phi: float, transmissivity: float = 0.5) -> PureTwo
     """
     if n < 0 or n != int(n):
         raise ValueError(f"total number must be a non-negative integer, got {n!r}")
-    t = float(transmissivity)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t!r}")
-    return _state_from_sector_amps(_split_fock_amps(int(n), float(phi), t))
+    return PureTwoModeState.from_sector(
+        int(n), _split_fock_amps(int(n), float(phi), float(transmissivity))
+    )
 
 
 def tmss_tail_mass(r: float, cutoff: int) -> float:
@@ -171,6 +246,11 @@ def select_cutoff(r: float, tail_tol: float) -> int:
     lam = math.tanh(r) ** 2
     if lam == 0.0:
         return 0
+    if lam == 1.0:
+        raise TruncationError(
+            f"squeezing r={r!r} is beyond what double precision can truncate: "
+            "tanh(r)**2 rounds to 1, so no cutoff bounds the tail"
+        )
     m = max(0, math.ceil(math.log(tail_tol) / math.log(lam)) - 1)
     while tmss_tail_mass(r, m) >= tail_tol:
         m += 1
@@ -254,7 +334,7 @@ class NumberDistribution:
             raise ValueError("distribution needs at least one point of support")
         if np.any(masses < 0):
             raise ValueError("probability masses must be >= 0")
-        if abs(masses.sum() - 1.0) > NORM_TOL:
+        if not abs(masses.sum() - 1.0) <= NORM_TOL:
             raise ValueError(f"masses sum to {masses.sum()!r}, not 1")
 
     @classmethod
@@ -338,7 +418,7 @@ def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     horizon = int(math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0))
     mode = min(int(mean), horizon)
     raw = np.zeros(horizon + 1)
-    raw[mode] = math.exp(mode * math.log(mean) - mean - gammaln(mode + 1))
+    raw[mode] = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
     for n in range(mode, horizon):
         raw[n + 1] = raw[n] * (mean / (n + 1))
     for n in range(mode, 0, -1):
@@ -402,14 +482,14 @@ class SectorState:
         if a.ndim != 1 or len(a) != self.total + 1:
             raise ValueError(f"sector {self.total} needs {self.total + 1} amplitudes, got {a.shape}")
         norm = float(np.sum(np.abs(a) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"sector state norm**2 = {norm!r} deviates from 1")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "amps", a)
 
     def to_pure_state(self) -> PureTwoModeState:
-        return _state_from_sector_amps(self.amps)
+        return PureTwoModeState.from_sector(self.total, self.amps)
 
 
 @dataclass(frozen=True)
@@ -433,7 +513,7 @@ class SectorMixture:
         weights = np.array([w for _, w, _ in self.sectors])
         if np.any(weights < 0):
             raise ValueError("sector weights must be >= 0")
-        if abs(weights.sum() - 1.0) > NORM_TOL:
+        if not abs(weights.sum() - 1.0) <= NORM_TOL:
             raise ValueError(f"sector weights sum to {weights.sum()!r}, not 1")
         for n, _, state in self.sectors:
             if state.total != n:
@@ -455,6 +535,27 @@ class SectorMixture:
     def iter_sectors(self) -> Iterator[tuple[int, float, SectorState]]:
         return iter(self.sectors)
 
+    @cached_property
+    def sector_view(self) -> SectorView:
+        return _sector_view((n, 0, state.amps, w) for n, w, state in self.sectors)
+
+
+def mixture_from_sector_amplitudes(
+    dist: NumberDistribution, amps_builder: Callable[[int], np.ndarray]
+) -> SectorMixture:
+    """Mix the sector states ``amps_builder(N)`` with weights from ``dist``.
+
+    ``amps_builder(N)`` returns the N + 1 amplitudes on |m>|N - m>, which
+    are normalized here.
+    """
+    sectors = []
+    for n, w in zip(dist.support(), dist.masses()):
+        n = int(n)
+        amps = np.asarray(amps_builder(n), dtype=np.complex128)
+        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        sectors.append((n, float(w), SectorState(n, amps / norm)))
+    return SectorMixture(tuple(sectors))
+
 
 def mixture_over_sectors(
     dist: NumberDistribution, sector_builder: Callable[[int], PureTwoModeState]
@@ -464,37 +565,19 @@ def mixture_over_sectors(
     Each built state must be confined to its sector: off-sector mass at or
     above OFF_SECTOR_TOL raises a ValueError identifying the offending N.
     """
-    sectors = []
-    for n, w in zip(dist.support(), dist.masses()):
-        n = int(n)
+
+    def sector_amps(n: int) -> np.ndarray:
         state = sector_builder(n)
         amps = state.sector_amplitudes(n)
-        sector_mass = float(np.sum(np.abs(amps) ** 2))
-        off_mass = abs(state.total_mass() - sector_mass)
+        off_mass = abs(state.total_mass() - float(np.sum(np.abs(amps) ** 2)))
         if off_mass >= OFF_SECTOR_TOL:
             raise ValueError(
                 f"builder output for sector {n} has off-sector mass {off_mass:.3e} "
                 f">= {OFF_SECTOR_TOL:g}"
             )
-        sectors.append((n, float(w), SectorState(n, amps / math.sqrt(sector_mass))))
-    return SectorMixture(tuple(sectors))
+        return amps
 
-
-def mixture_from_sector_amplitudes(
-    dist: NumberDistribution, amps_builder: Callable[[int], np.ndarray]
-) -> SectorMixture:
-    """Like mixture_over_sectors but from anti-diagonal amplitude vectors.
-
-    Avoids materializing the (N+1)^2 grids, which matters for mixtures with
-    hundreds of sectors.
-    """
-    sectors = []
-    for n, w in zip(dist.support(), dist.masses()):
-        n = int(n)
-        amps = np.asarray(amps_builder(n), dtype=np.complex128)
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        sectors.append((n, float(w), SectorState(n, amps / norm)))
-    return SectorMixture(tuple(sectors))
+    return mixture_from_sector_amplitudes(dist, sector_amps)
 
 
 State = PureTwoModeState | SectorMixture

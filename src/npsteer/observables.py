@@ -1,21 +1,20 @@
 """Number and phase observables on two-mode states.
 
-All expectation values are computed by index-shifted sums over the
-coefficient grid, O(cutoff^2) per moment; no dense operators are built.
-For sector mixtures every moment reduces to weighted per-sector sums over
-the anti-diagonal amplitudes, and operators that change the total number
-have identically vanishing expectation.
+Moments that conserve the total number are sums within sectors over the
+state's ``sector_view``, one code path for grid states and mixtures.
+Operators that change the total number couple sectors; only a pure state
+spread over several sectors has such coherence, and those moments are
+shift-sums over its coefficient grid. No dense operators are built.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PureTwoModeState, SectorMixture, State
+from .fock import PureTwoModeState, State
 
 EDGE_MASS_TOL = 1e-8
 
@@ -50,6 +49,14 @@ def _clip_unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+def _coherent_grid(state: State) -> np.ndarray | None:
+    """The grid of a pure state spread over several sectors, the only states
+    with coherence between sectors; None for every other state."""
+    if isinstance(state, PureTwoModeState) and len(state.sector_view.starts) > 2:
+        return state.coeffs
+    return None
+
+
 def number_moments(state: State) -> NumberMoments:
     """Mean and variance of the total number plus per-mode variances.
 
@@ -57,175 +64,103 @@ def number_moments(state: State) -> NumberMoments:
     eigenstates report a variance at the 1e-20 level instead of the 1e-14
     cancellation noise of a raw <N^2> - <N>^2 difference.
     """
-    if isinstance(state, PureTwoModeState):
-        p = np.abs(state.coeffs) ** 2
-        m = np.arange(p.shape[0], dtype=float)[:, None]
-        n = np.arange(p.shape[1], dtype=float)[None, :]
-        m1 = float(np.sum(p * m))
-        n1 = float(np.sum(p * n))
-        tot1 = float(np.sum(p * (m + n)))
-        tot_var = float(np.sum(p * (m + n - tot1) ** 2))
-        m_var = float(np.sum(p * (m - m1) ** 2))
-        n_var = float(np.sum(p * (n - n1) ** 2))
-        return NumberMoments(tot1, tot_var, m_var, n_var)
-    tot1 = m1 = n1 = 0.0
-    for total, w, sector in state.iter_sectors():
-        p = np.abs(sector.amps) ** 2
-        m = np.arange(total + 1, dtype=float)
-        sm1 = float(np.dot(p, m))
-        tot1 += w * total
-        m1 += w * sm1
-        n1 += w * (total - sm1)
-    tot_var = m_var = n_var = 0.0
-    for total, w, sector in state.iter_sectors():
-        p = np.abs(sector.amps) ** 2
-        m = np.arange(total + 1, dtype=float)
-        tot_var += w * (total - tot1) ** 2
-        m_var += w * float(np.dot(p, (m - m1) ** 2))
-        n_var += w * float(np.dot(p, (total - m - n1) ** 2))
+    view = state.sector_view
+    p = np.abs(view.amps) ** 2
+    sector_p = np.add.reduceat(p, view.starts[:-1])
+    tot1 = float(np.dot(sector_p, view.totals))
+    tot_var = float(np.dot(sector_p, (view.totals - tot1) ** 2))
+    m, n = view.levels()
+    m1, n1 = float(np.dot(p, m)), float(np.dot(p, n))
+    m_var, n_var = float(np.dot(p, (m - m1) ** 2)), float(np.dot(p, (n - n1) ** 2))
     return NumberMoments(tot1, tot_var, m_var, n_var)
 
 
 def exp_phase_relative(state: State) -> complex:
     """Expectation of the relative exponential-of-phase operator E1 E2†.
 
-    For a grid state this is sum over conj(c[m, n+1]) c[m+1, n]; within a
-    sector it collapses to sum over conj(a[m]) a[m+1].
+    E1 E2† maps |m+1>|N-m-1> to |m>|N-m> within sector N, so this is the
+    sum of conj(a[m]) a[m+1] over neighbors of each sector.
     """
-    if isinstance(state, PureTwoModeState):
-        c = state.coeffs
-        return complex(np.sum(np.conj(c[:-1, 1:]) * c[1:, :-1]))
-    acc = 0.0 + 0.0j
-    for _, w, sector in state.iter_sectors():
-        a = sector.amps
-        acc += w * complex(np.sum(np.conj(a[:-1]) * a[1:]))
-    return acc
+    return complex(np.sum(state.sector_view.neighbor_products()))
 
 
 def exp_phase_single(state: State, mode: int) -> complex:
     """Expectation of the single-mode exponential-of-phase operator E_mode.
 
-    On a sector mixture this vanishes identically: E_mode lowers the total
-    number by one, and a block-diagonal density matrix carries no coherence
-    between adjacent sectors, so the trace has no diagonal contribution.
+    E_mode lowers the total number by one, so it vanishes unless the state
+    is a pure state spread over several sectors.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    if isinstance(state, SectorMixture):
+    c = _coherent_grid(state)
+    if c is None:
         return 0j
-    c = state.coeffs
-    if mode == 1:
-        return complex(np.sum(np.conj(c[:-1, :]) * c[1:, :]))
-    return complex(np.sum(np.conj(c[:, :-1]) * c[:, 1:]))
+    c = c if mode == 1 else c.T
+    return complex(np.sum(np.conj(c[:-1, :]) * c[1:, :]))
+
+
+def _dispersions(e_rel: complex, e1: complex, e2: complex) -> Dispersions:
+    return Dispersions(*(_clip_unit(1.0 - abs(e) ** 2) for e in (e_rel, e1, e2)))
 
 
 def dispersions(state: State) -> Dispersions:
     """Relative and single-mode phase dispersions D^2 = 1 - |<E>|^2."""
-    d_rel = 1.0 - abs(exp_phase_relative(state)) ** 2
-    d1 = 1.0 - abs(exp_phase_single(state, 1)) ** 2
-    d2 = 1.0 - abs(exp_phase_single(state, 2)) ** 2
-    return Dispersions(_clip_unit(d_rel), _clip_unit(d1), _clip_unit(d2))
+    return _dispersions(
+        exp_phase_relative(state), exp_phase_single(state, 1), exp_phase_single(state, 2)
+    )
 
 
 def hz_moments(state: State) -> HZMoments:
     """Cross-mode moments <a† b>, <a†a b†b>, <a†a>, <b†b> (a = mode 1)."""
-    if isinstance(state, PureTwoModeState):
-        c = state.coeffs
-        cut = state.cutoff
-        root = np.sqrt(np.arange(1, cut + 1, dtype=float))
-        w = root[:, None] * root[None, :]
-        adagb = complex(np.sum(w * np.conj(c[1:, :-1]) * c[:-1, 1:]))
-        p = np.abs(c) ** 2
-        m = np.arange(cut + 1, dtype=float)[:, None]
-        n = np.arange(cut + 1, dtype=float)[None, :]
-        nanb = float(np.sum(p * m * n))
-        na = float(np.sum(p * m))
-        nb = float(np.sum(p * n))
-        return HZMoments(adagb, nanb, na, nb)
-    adagb = 0j
-    nanb = na = nb = 0.0
-    for total, w, sector in state.iter_sectors():
-        a = sector.amps
-        m = np.arange(total + 1, dtype=float)
-        if total >= 1:
-            weights = np.sqrt((m[:-1] + 1.0) * (total - m[:-1]))
-            adagb += w * complex(np.sum(weights * np.conj(a[1:]) * a[:-1]))
-        p = np.abs(a) ** 2
-        sm = float(np.dot(p, m))
-        nanb += w * float(np.dot(p, m * (total - m)))
-        na += w * sm
-        nb += w * (total - sm)
-    return HZMoments(adagb, nanb, na, nb)
+    view = state.sector_view
+    p = np.abs(view.amps) ** 2
+    m, n = view.levels()
+    weights = m[:-1] + 1.0
+    weights *= n[:-1]
+    pairs = view.neighbor_products()
+    pairs *= np.sqrt(weights, out=weights)
+    adagb = complex(np.sum(pairs)).conjugate()
+    na, nb = float(np.dot(p, m)), float(np.dot(p, n))
+    m *= n
+    return HZMoments(adagb, float(np.dot(p, m)), na, nb)
 
 
-def _ladder_moments(state: PureTwoModeState) -> dict:
-    """Single and pair ladder-operator expectations needed for quadratures."""
-    c = state.coeffs
-    cut = state.cutoff
-    root1 = np.sqrt(np.arange(1, cut + 1, dtype=float))
-    a1 = complex(np.sum(root1[:, None] * np.conj(c[:-1, :]) * c[1:, :]))
-    a2 = complex(np.sum(root1[None, :] * np.conj(c[:, :-1]) * c[:, 1:]))
-    if cut >= 2:
-        root2 = np.sqrt(np.arange(1, cut, dtype=float) * np.arange(2, cut + 1, dtype=float))
-        a1sq = complex(np.sum(root2[:, None] * np.conj(c[:-2, :]) * c[2:, :]))
-        a2sq = complex(np.sum(root2[None, :] * np.conj(c[:, :-2]) * c[:, 2:]))
-    else:
-        a1sq = a2sq = 0j
-    w = root1[:, None] * root1[None, :]
-    a1a2 = complex(np.sum(w * np.conj(c[:-1, :-1]) * c[1:, 1:]))
-    a1dag_a2 = complex(np.sum(w * np.conj(c[1:, :-1]) * c[:-1, 1:]))
-    p = np.abs(c) ** 2
-    n1 = float(np.sum(p * np.arange(cut + 1, dtype=float)[:, None]))
-    n2 = float(np.sum(p * np.arange(cut + 1, dtype=float)[None, :]))
-    return {"a1": a1, "a2": a2, "a1sq": a1sq, "a2sq": a2sq,
-            "a1a2": a1a2, "a1dag_a2": a1dag_a2, "n1": n1, "n2": n2}
+def _ladder_moments(state: State) -> tuple[complex, complex, complex]:
+    """<a1>, <a2>, <a1 a2>: the quadrature terms that change the total number."""
+    c = _coherent_grid(state)
+    if c is None:
+        return 0j, 0j, 0j
+    root = np.sqrt(np.arange(1, len(c), dtype=float))
+    a1, a2 = (complex(np.sum(root[:, None] * np.conj(g[:-1, :]) * g[1:, :])) for g in (c, c.T))
+    a1a2 = complex(np.sum(root[:, None] * root[None, :] * np.conj(c[:-1, :-1]) * c[1:, 1:]))
+    return a1, a2, a1a2
 
 
-def _edge_mass(state: PureTwoModeState) -> float:
-    p = np.abs(state.coeffs) ** 2
-    return float(p[-1, :].sum() + p[:, -1].sum() - p[-1, -1])
+def _warn_on_edge_mass(state: State, edge_tol: float) -> None:
+    """Warn when the levels m = cutoff or n = cutoff carry more than edge_tol."""
+    m, n = state.sector_view.levels()
+    edge = (m == state.cutoff) | (n == state.cutoff)
+    if float(np.sum(np.abs(state.sector_view.amps[edge]) ** 2)) > edge_tol:
+        message = "state carries mass at the cutoff edge; quadrature moments may be biased"
+        warnings.warn(message, TruncationBiasWarning, stacklevel=3)
+
+
+def _quadrature_sum(n_mean: float, ladder: tuple[complex, complex, complex]) -> float:
+    a1, a2, a1a2 = ladder
+    return 2.0 * (n_mean + 1.0) - 4.0 * a1a2.real - 2.0 * abs(a1 - a2.conjugate()) ** 2
 
 
 def quadrature_sum_variance(state: State, edge_tol: float = EDGE_MASS_TOL) -> float:
     """Var(X1 - X2) + Var(P1 + P2) with X = (a + a†)/sqrt(2), P = (a - a†)/(i sqrt(2)).
 
-    A TruncationBiasWarning is emitted when the cutoff edge carries more
-    than ``edge_tol`` of probability mass; for states whose support ends
-    exactly at the cutoff (fixed total number) the warning is conservative.
-    Exact for sector mixtures: with a block-diagonal density matrix only
-    number-conserving ladder pairs survive, all evaluated sector-wise.
+    That is 2(<N> + 1) - 4 Re<a1 a2> - 2|<a1> - <a2>*|^2: the <a1† a2> and
+    <a_j^2> terms cancel between the two variances. A TruncationBiasWarning
+    is emitted when the cutoff edge carries more than ``edge_tol`` of
+    probability mass; for states whose support ends exactly at the cutoff
+    (fixed total number) the warning is conservative.
     """
-    if isinstance(state, PureTwoModeState):
-        if _edge_mass(state) > edge_tol:
-            warnings.warn(
-                "state carries mass at the cutoff edge; quadrature moments may be biased",
-                TruncationBiasWarning,
-                stacklevel=2,
-            )
-        mom = _ladder_moments(state)
-    else:
-        adagb = hz_moments(state).adagb  # equals <a1† a2>
-        nm = 0.0
-        for total, w, _ in state.iter_sectors():
-            nm += w * total
-        n_mom = number_moments(state)
-        # per-mode means: n1 = na, n2 = nb from hz path
-        hz = hz_moments(state)
-        mom = {"a1": 0j, "a2": 0j, "a1sq": 0j, "a2sq": 0j,
-               "a1a2": 0j, "a1dag_a2": adagb, "n1": hz.na, "n2": hz.nb}
-    x1 = math.sqrt(2.0) * mom["a1"].real
-    x2 = math.sqrt(2.0) * mom["a2"].real
-    p1 = math.sqrt(2.0) * mom["a1"].imag
-    p2 = math.sqrt(2.0) * mom["a2"].imag
-    x1sq = mom["a1sq"].real + mom["n1"] + 0.5
-    x2sq = mom["a2sq"].real + mom["n2"] + 0.5
-    p1sq = -mom["a1sq"].real + mom["n1"] + 0.5
-    p2sq = -mom["a2sq"].real + mom["n2"] + 0.5
-    x1x2 = mom["a1a2"].real + mom["a1dag_a2"].real
-    p1p2 = -mom["a1a2"].real + mom["a1dag_a2"].real
-    var_minus = (x1sq + x2sq - 2.0 * x1x2) - (x1 - x2) ** 2
-    var_plus = (p1sq + p2sq + 2.0 * p1p2) - (p1 + p2) ** 2
-    return var_minus + var_plus
+    _warn_on_edge_mass(state, edge_tol)
+    return _quadrature_sum(number_moments(state).n_mean, _ladder_moments(state))
 
 
 def single_mode_moments(amps: np.ndarray) -> tuple[float, float, float]:
@@ -302,20 +237,17 @@ class ObservableReport:
         d = self.to_json_dict()
         return [repr(float(d[k])) for k in REPORT_FIELDS]
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return list(REPORT_FIELDS)
-
 
 def observable_report(state: State) -> ObservableReport:
-    """Evaluate the full observable bundle for a state."""
+    """Evaluate the full observable bundle for a state, each moment once."""
     nm = number_moments(state)
     e_rel = exp_phase_relative(state)
     e1 = exp_phase_single(state, 1)
     e2 = exp_phase_single(state, 2)
-    disp = dispersions(state)
+    disp = _dispersions(e_rel, e1, e2)
     hz = hz_moments(state)
-    quad = quadrature_sum_variance(state)
+    _warn_on_edge_mass(state, EDGE_MASS_TOL)
+    quad = _quadrature_sum(nm.n_mean, _ladder_moments(state))
     return ObservableReport(
         n_mean=nm.n_mean, n_var=nm.n_var, n1_var=nm.n1_var, n2_var=nm.n2_var,
         e_rel=e_rel, e1=e1, e2=e2,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PureTwoModeState, SectorMixture, SectorState, State
+from .fock import PureTwoModeState, SectorState, State
 
 TWO_PI = 2.0 * math.pi
 DENSITY_NORM_TOL = 1e-8
@@ -150,22 +150,15 @@ def _sector_profile(amps: np.ndarray, grid_size: int) -> np.ndarray:
 def relative_phase_density(state: State, grid_size: int | None = None) -> PhaseDensity:
     """Density of the phase difference under the number-resolved phase POVM.
 
-    Built sector by sector: p(phi) = (1/2pi) sum_N |sum_m c_{m,N-m} e^{-i m phi}|^2.
+    Built sector by sector: p(phi) = (1/2pi) sum_N w_N |sum_m a_{N,m} e^{-i m phi}|^2,
+    with w_N = 1 and a_{N,m} = c[m, N - m] for a pure state.
     """
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
+    view = state.sector_view
     acc = np.zeros(k)
-    if isinstance(state, PureTwoModeState):
-        for total in range(2 * cutoff + 1):
-            amps = state.sector_amplitudes(total)
-            if not np.any(amps):
-                continue
-            acc += _sector_profile(amps, k)
-    else:
-        for _, w, sector in state.iter_sectors():
-            if w == 0.0:
-                continue
-            acc += w * _sector_profile(sector.amps, k)
+    for lo, hi in zip(view.starts[:-1].tolist(), view.starts[1:].tolist()):
+        acc += _sector_profile(view.amps[lo:hi], k)
     return PhaseDensity(phase_grid(k), acc / TWO_PI)
 
 

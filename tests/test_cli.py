@@ -124,6 +124,21 @@ class TestEval:
         assert code == 3
         assert "truncation" in err
 
+    def test_squeezing_beyond_double_precision_exits_three(self, capsys):
+        code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 20}')
+        assert code == 3
+        assert "double precision" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("t", [1.5, -0.5])
+    def test_split_mixture_transmissivity_out_of_range_exits_two(self, capsys, t):
+        spec = json.dumps({"family": "mixture", "base": "split_fock", "transmissivity": t,
+                           "noise": {"kind": "poissonian", "mean": 3.0}})
+        code, out, err = run(capsys, "eval", "--state", spec)
+        assert code == 2
+        assert "transmissivity" in err
+        assert out == ""
+
 
 class TestEvalAsserts:
     def test_matching_expectations_exit_zero(self, capsys):

@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from npsteer import (
     mixture_from_sector_amplitudes,
     mixture_over_sectors,
     number_phase_state,
+    observable_report,
     poissonian_distribution,
+    relative_phase_density,
     select_cutoff,
     split_fock_state,
     thermal_distribution,
@@ -49,6 +55,14 @@ class TestPureTwoModeState:
     def test_normalized_rescales(self):
         state = PureTwoModeState.normalized(np.full((3, 3), 1.0 + 0j))
         assert state.total_mass() == pytest.approx(1.0, abs=1e-14)
+
+    def test_rejects_nan_grid(self):
+        c = np.zeros((2, 2), dtype=complex)
+        c[0, 0] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            PureTwoModeState(c)
+        with pytest.raises(ValueError, match="norm"):
+            PureTwoModeState.normalized(c)
 
     def test_normalized_rejects_zero_grid(self):
         with pytest.raises(ValueError, match="zero"):
@@ -112,12 +126,35 @@ class TestFixedTotalConstructors:
         overlap = abs(np.vdot(a, b))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [301, 400, 1000])
+    @pytest.mark.parametrize("t", [0.5, 0.3])
+    def test_large_split_matches_exact_binomial_weights(self, n, t):
+        # t = a / d exactly in binary, so the weights binom(n, m) a^m (d - a)^(n - m)
+        # are integers summing to d^n, and each division rounds correctly
+        a, d = Fraction(t).numerator, Fraction(t).denominator
+        want = [math.sqrt(math.comb(n, m) * a**m * (d - a) ** (n - m) / d**n) for m in range(n + 1)]
+        amps = split_fock_state(n, 0.0, t).sector_amplitudes(n)
+        np.testing.assert_allclose(np.abs(amps), want, rtol=0, atol=1e-12)
+
     def test_large_split_uses_stable_log_weights(self):
         state = split_fock_state(400, 0.0, 0.5)
         amps = state.sector_amplitudes(400)
         assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
         # symmetric weights at t = 1/2
         np.testing.assert_allclose(np.abs(amps), np.abs(amps[::-1]), rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::npsteer.observables.TruncationBiasWarning")
+    def test_fixed_total_states_allocate_no_grid(self):
+        # the (N+1)^2 grid of N = 2000 alone takes 64 MB
+        state = number_phase_state(2000, 0.3)
+        tracemalloc.start()
+        try:
+            observable_report(state)
+            relative_phase_density(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTwoModeSqueezed:
@@ -164,6 +201,10 @@ class TestTwoModeSqueezed:
         n = 2.0 * np.arange(len(p))
         var = float(np.dot(p, n**2)) - float(np.dot(p, n)) ** 2
         assert var == pytest.approx(math.sinh(2 * r) ** 2, abs=1e-8)
+
+    def test_squeezing_beyond_double_precision_raises_truncation_error(self):
+        with pytest.raises(TruncationError, match="double precision"):
+            two_mode_squeezed_state(20.0)
 
     def test_negative_squeezing_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -226,6 +267,10 @@ class TestNumberDistributions:
         with pytest.raises(ValueError, match="sum"):
             NumberDistribution({0: 0.5, 1: 0.4}, mean=0.0, variance=0.0)
 
+    def test_nan_masses_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            NumberDistribution({0: 0.5, 1: float("nan")}, mean=0.0, variance=0.0)
+
 
 class TestSectorMixtures:
     def test_point_mass_mixture_is_the_pure_sector_state(self):
@@ -271,6 +316,14 @@ class TestSectorMixtures:
         with pytest.raises(ValueError, match="amplitudes"):
             SectorState(3, np.ones(3, dtype=complex) / math.sqrt(3))
 
+    def test_nan_sector_amplitudes_and_weights_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            SectorState(1, np.array([np.nan, 1.0], dtype=complex))
+        s0 = SectorState(0, np.ones(1, dtype=complex))
+        s1 = SectorState(1, np.array([1.0, 0.0], dtype=complex))
+        with pytest.raises(ValueError, match="sum"):
+            SectorMixture(((0, 0.5, s0), (1, float("nan"), s1)))
+
     def test_mixture_rejects_unsorted_sectors(self):
         s0 = SectorState(0, np.ones(1, dtype=complex))
         s1 = SectorState(1, np.array([1.0, 0.0], dtype=complex))
@@ -306,3 +359,9 @@ def test_split_amplitude_mass_is_binomial(n, t):
     assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
     mean = float(np.sum(np.abs(amps) ** 2 * np.arange(n + 1)))
     assert mean == pytest.approx(n * t, abs=1e-9)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, npsteer; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
