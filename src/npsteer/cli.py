@@ -18,13 +18,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import CriterionVerdict, all_verdicts, boundary_curves, sampled_np_verdicts
 from .fock import TruncationError
-from .observables import REPORT_FIELDS, ObservableReport, number_moments, observable_report
+from .observables import ObservableReport, number_moments, observable_report
 from .phase_povm import (
     estimate_relative_dispersion,
     relative_phase_density,
@@ -32,16 +31,6 @@ from .phase_povm import (
     write_samples_csv,
 )
 from .statespec import StateSpec, StateSpecError, load_state_spec
-
-EVAL_CRITERIA = (
-    "NP_ENT",
-    "NP_STEER",
-    "NAIVE_ENT",
-    "NAIVE_STEER",
-    "HZ_ENT",
-    "HZ_STEER_A_BY_B",
-    "HZ_STEER_B_BY_A",
-)
 
 DEFAULT_SHOTS = 10_000
 DEFAULT_SEED = 0
@@ -72,23 +61,6 @@ SWEEP_COLUMNS = (
     "hz_steer_a_by_b_margin",
     "hz_steer_b_by_a_margin",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set for one invocation."""
-
-    command: str
-    state: str | None = None
-    out: str | None = None
-    format: str | None = None
-    shots: int = DEFAULT_SHOTS
-    seed: int = DEFAULT_SEED
-    grid: int | None = None
-    tail_tol: float | None = None
-    sweep: str | None = None
-    z: float = DEFAULT_Z
-    assert_spec: str | None = None
 
 
 class _UsageError(Exception):
@@ -177,110 +149,110 @@ def _check_asserts(spec: str | None, verdicts: list[CriterionVerdict]) -> int:
     return 0
 
 
-def _load_spec(config: RunConfig) -> StateSpec:
-    if not config.state:
+def _load_spec(args: argparse.Namespace) -> StateSpec:
+    if not args.state:
         raise _UsageError("--state is required for this command")
-    return load_state_spec(config.state)
+    return load_state_spec(args.state)
 
 
 def _spec_echo(spec: StateSpec) -> dict:
     return {"family": spec.family, **spec.params}
 
 
-def _eval_payload(spec, report, verdicts) -> dict:
-    return {
-        "spec": _spec_echo(spec),
-        "report": report.to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in verdicts],
-    }
-
-
-def _eval_csv(report: ObservableReport, verdicts: list[CriterionVerdict]) -> str:
-    header = list(REPORT_FIELDS)
-    row = list(report.to_csv_row())
-    for v in verdicts:
-        header += [f"{v.criterion_id.lower()}_margin", f"{v.criterion_id.lower()}_violated"]
-        row += [repr(float(v.margin)), str(int(v.violated))]
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
-def cmd_eval(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    state = spec.build(config.tail_tol)
+def _evaluate(
+    spec: StateSpec, args: argparse.Namespace
+) -> tuple[ObservableReport, list[CriterionVerdict]]:
+    """Build the state, its observable report and relative phase density, and the verdicts."""
+    state = spec.build(args.tail_tol)
     report = observable_report(state)
-    density = relative_phase_density(state, config.grid)
-    verdicts = all_verdicts(report, density)
+    density = relative_phase_density(state, args.grid)
+    return report, all_verdicts(report, density)
+
+
+def _columns(report: ObservableReport, verdicts: list[CriterionVerdict]) -> dict:
+    """The report fields, then the margin and flag of each verdict, by column name."""
+    values = report.to_json_dict()
+    for v in verdicts:
+        values[f"{v.criterion_id.lower()}_margin"] = v.margin
+        values[f"{v.criterion_id.lower()}_violated"] = v.violated
+    return values
+
+
+def _cell(x) -> str:
+    return str(int(x)) if isinstance(x, bool) else repr(float(x))
+
+
+def _table(columns, rows) -> str:
+    """CSV text: the header, then each row's value under every column name."""
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    report, verdicts = _evaluate(spec, args)
     for v in verdicts:
         print(_verdict_line(v))
-    if (config.format or "json") == "json":
-        _emit(config, json.dumps(_eval_payload(spec, report, verdicts), indent=2) + "\n")
+    if (args.format or "json") == "json":
+        payload = {
+            "spec": _spec_echo(spec),
+            "report": report.to_json_dict(),
+            "verdicts": [v.to_json_dict() for v in verdicts],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        _emit(config, _eval_csv(report, verdicts))
-    return _check_asserts(config.assert_spec, verdicts)
+        values = _columns(report, verdicts)
+        text = _table(tuple(values), [values])
+    if args.out:
+        _write(args.out, text)
+    else:
+        print(text, end="")
+    return _check_asserts(args.assert_spec, verdicts)
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if not config.sweep:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if not args.sweep:
         raise _UsageError("sweep requires --sweep var:lo:hi:step")
-    if not config.out:
+    if not args.out:
         raise _UsageError("sweep requires --out")
-    if config.format == "json":
+    if args.format == "json":
         raise _UsageError("sweep emits CSV; drop --format json")
-    spec = _load_spec(config)
-    var, values = _parse_range(config.sweep, SWEEP_VARS)
+    spec = _load_spec(args)
+    var, values = _parse_range(args.sweep, SWEEP_VARS)
     rows = []
     for value in values.tolist():
         try:
             point = spec.with_param(var, value)
         except StateSpecError as exc:
             raise _UsageError(str(exc)) from exc
-        state = point.build(config.tail_tol)
-        report = observable_report(state)
-        density = relative_phase_density(state, config.grid)
-        verdicts = {v.criterion_id: v for v in all_verdicts(report, density)}
-        naive_ok = int(verdicts["NAIVE_ENT"].advisory is None)
-        rows.append(
-            [
-                repr(float(value)),
-                repr(float(report.n_var)),
-                repr(float(report.d2_rel)),
-                repr(float(verdicts["NP_ENT"].margin)),
-                repr(float(verdicts["NP_STEER"].margin)),
-                repr(float(verdicts["NAIVE_ENT"].margin)),
-                repr(float(verdicts["NAIVE_STEER"].margin)),
-                str(naive_ok),
-                repr(float(verdicts["HZ_ENT"].margin)),
-                repr(float(verdicts["HZ_STEER_A_BY_B"].margin)),
-                repr(float(verdicts["HZ_STEER_B_BY_A"].margin)),
-            ]
-        )
-    with open(config.out, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
-    print(f"wrote {len(rows)} sweep rows to {config.out}")
+        report, verdicts = _evaluate(point, args)
+        naive_ok = next(v.advisory is None for v in verdicts if v.criterion_id == "NAIVE_ENT")
+        rows.append({"parameter": value, "naive_applicable": naive_ok, **_columns(report, verdicts)})
+    _write(args.out, _table(SWEEP_COLUMNS, rows))
+    print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
 
-def cmd_sample(config: RunConfig) -> int:
-    if not config.out:
+def cmd_sample(args: argparse.Namespace) -> int:
+    if not args.out:
         raise _UsageError("sample requires --out")
-    if config.shots < 1:
+    if args.shots < 1:
         raise _UsageError("--shots must be >= 1")
-    spec = _load_spec(config)
-    state = spec.build(config.tail_tol)
-    s1, s2 = sample_local_phases(state, config.shots, config.seed, grid_size=config.grid)
-    write_samples_csv(config.out, s1, s2)
+    if not (math.isfinite(args.z) and args.z >= 0.0):
+        raise _UsageError(f"--z must be finite and >= 0, got {args.z!r}")
+    spec = _load_spec(args)
+    state = spec.build(args.tail_tol)
+    s1, s2 = sample_local_phases(state, args.shots, args.seed, grid_size=args.grid)
+    write_samples_csv(args.out, s1, s2)
     est = estimate_relative_dispersion(s1, s2)
     n_mean, n_var, _, _ = number_moments(state)
-    verdicts = list(sampled_np_verdicts(n_var, est.d2_hat, est.std_error, z=config.z))
+    verdicts = list(sampled_np_verdicts(n_var, est.d2_hat, est.std_error, z=args.z))
     print(
         f"d2_hat = {est.d2_hat:.6g} +/- {est.std_error:.3g} "
         f"({est.method}, {est.shots} shots)"
@@ -289,9 +261,9 @@ def cmd_sample(config: RunConfig) -> int:
         print(_verdict_line(v))
     payload = {
         "spec": _spec_echo(spec),
-        "shots": config.shots,
-        "seed": config.seed,
-        "z": config.z,
+        "shots": args.shots,
+        "seed": args.seed,
+        "z": args.z,
         "d2_hat": est.d2_hat,
         "std_error": est.std_error,
         "method": est.method,
@@ -300,40 +272,28 @@ def cmd_sample(config: RunConfig) -> int:
         "n_var": float(n_var),
         "verdicts": [v.to_json_dict() for v in verdicts],
     }
-    est_path = config.out + ".est.json"
-    with open(est_path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {config.shots} samples to {config.out}, estimate to {est_path}")
-    return _check_asserts(config.assert_spec, verdicts)
+    est_path = args.out + ".est.json"
+    _write(est_path, json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {args.shots} samples to {args.out}, estimate to {est_path}")
+    return _check_asserts(args.assert_spec, verdicts)
 
 
-def cmd_curves(config: RunConfig) -> int:
-    if not config.out:
+def cmd_curves(args: argparse.Namespace) -> int:
+    if not args.out:
         raise _UsageError("curves requires --out")
-    text = config.sweep or DEFAULT_CURVE_RANGE
-    var, values = _parse_range(text, ("d2",))
+    _, values = _parse_range(args.sweep or DEFAULT_CURVE_RANGE, ("d2",))
     if float(values.min()) <= 0.0 or float(values.max()) > 1.0:
         raise _UsageError("curves grid must stay inside (0, 1]")
-    ent = boundary_curves("ENT_FIG2", values)
-    steer = boundary_curves("STEER_FIG2", values)
-    ur = boundary_curves("UR_FIG1", values)
-    with open(config.out, "w") as fh:
-        fh.write(",".join(CURVE_COLUMNS) + "\n")
-        for i, d2 in enumerate(values.tolist()):
-            fh.write(
-                ",".join(
-                    [
-                        repr(float(d2)),
-                        repr(float(ent.threshold[i])),
-                        repr(float(steer.threshold[i])),
-                        repr(float(ur.threshold[i])),
-                        repr(0.75),
-                        repr(0.5),
-                    ]
-                )
-                + "\n"
-            )
-    print(f"wrote {len(values)} curve rows to {config.out}")
+    ent, steer, ur = (
+        boundary_curves(cid, values).threshold for cid in ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
+    )
+    rows = [
+        {"d2": d2, "ent_threshold": e, "steer_threshold": s, "ur_sum_bound": u,
+         "ur_flat_reference": 0.75, "ur_min_d2": 0.5}
+        for d2, e, s, u in zip(values.tolist(), ent.tolist(), steer.tolist(), ur.tolist())
+    ]
+    _write(args.out, _table(CURVE_COLUMNS, rows))
+    print(f"wrote {len(rows)} curve rows to {args.out}")
     return 0
 
 
@@ -382,21 +342,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        state=args.state,
-        out=args.out,
-        format=args.format,
-        shots=args.shots,
-        seed=args.seed,
-        grid=args.grid,
-        tail_tol=args.tail_tol,
-        sweep=args.sweep,
-        z=args.z,
-        assert_spec=args.assert_spec,
-    )
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

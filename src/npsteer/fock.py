@@ -135,12 +135,19 @@ class PureTwoModeState:
     def sector_view(self) -> SectorView:
         if self._sector is not None:
             return _sector_view([(self._sector.total, 0, self._sector.amps, 1.0)])
-        c, k = self._coeffs, len(self._coeffs)
-        blocks = []
-        for n in range(2 * k - 1):
-            m = np.arange(max(0, n - k + 1), min(n, k - 1) + 1)
-            blocks.append((n, m[0], c[m, n - m], 1.0))
-        return _sector_view(blocks)
+        # anti-diagonal N holds c[m, N - m] for max(0, N - k + 1) <= m <= min(N, k - 1)
+        k = len(self._coeffs)
+        totals = np.arange(2 * k - 1)
+        first_m = np.maximum(0, totals - (k - 1))
+        counts = np.minimum(totals, k - 1) - first_m + 1
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        m = np.arange(starts[-1]) - np.repeat(starts[:-1] - first_m, counts)
+        amps = self._coeffs[m, np.repeat(totals, counts) - m]
+        kept = np.logical_or.reduceat(amps != 0, starts[:-1])
+        if not kept.all():
+            amps, counts = amps[np.repeat(kept, counts)], counts[kept]
+            starts = np.concatenate(([0], np.cumsum(counts)))
+        return SectorView(amps, starts, totals[kept], first_m[kept])
 
     def total_mass(self) -> float:
         return float(np.sum(np.abs(self.sector_view.amps) ** 2))

@@ -9,7 +9,7 @@ shift-sums over its coefficient grid. No dense operators are built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -177,15 +177,6 @@ def single_mode_moments(amps: np.ndarray) -> tuple[float, float, float]:
     return mean, var, _clip_unit(1.0 - abs(e) ** 2)
 
 
-REPORT_FIELDS = (
-    "n_mean", "n_var", "n1_var", "n2_var",
-    "e_rel_re", "e_rel_im", "e1_re", "e1_im", "e2_re", "e2_im",
-    "d2_rel", "d2_1", "d2_2",
-    "hz_adagb_re", "hz_adagb_im", "hz_nanb", "hz_na", "hz_nb",
-    "quad_sum",
-)
-
-
 @dataclass(frozen=True)
 class ObservableReport:
     """Flat bundle of every scalar observable the criteria consume."""
@@ -207,35 +198,27 @@ class ObservableReport:
     quad_sum: float
 
     def to_json_dict(self) -> dict:
-        """Flat mapping with complex entries split into _re/_im pairs.
-
-        Key order matches REPORT_FIELDS and the CSV columns.
-        """
-        return {
-            "n_mean": self.n_mean,
-            "n_var": self.n_var,
-            "n1_var": self.n1_var,
-            "n2_var": self.n2_var,
-            "e_rel_re": self.e_rel.real,
-            "e_rel_im": self.e_rel.imag,
-            "e1_re": self.e1.real,
-            "e1_im": self.e1.imag,
-            "e2_re": self.e2.real,
-            "e2_im": self.e2.imag,
-            "d2_rel": self.d2_rel,
-            "d2_1": self.d2_1,
-            "d2_2": self.d2_2,
-            "hz_adagb_re": self.hz_adagb.real,
-            "hz_adagb_im": self.hz_adagb.imag,
-            "hz_nanb": self.hz_nanb,
-            "hz_na": self.hz_na,
-            "hz_nb": self.hz_nb,
-            "quad_sum": self.quad_sum,
-        }
+        """Flat mapping in REPORT_FIELDS order, complex fields split into _re/_im pairs."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = (value.real, value.imag) if _is_complex(f) else (value,)
+            out.update(zip(_flat_keys(f), parts))
+        return out
 
     def to_csv_row(self) -> list[str]:
-        d = self.to_json_dict()
-        return [repr(float(d[k])) for k in REPORT_FIELDS]
+        return [repr(float(x)) for x in self.to_json_dict().values()]
+
+
+def _is_complex(f: Field) -> bool:
+    return f.type == "complex"  # annotations are strings here (postponed evaluation)
+
+
+def _flat_keys(f: Field) -> tuple[str, ...]:
+    return (f"{f.name}_re", f"{f.name}_im") if _is_complex(f) else (f.name,)
+
+
+REPORT_FIELDS = tuple(key for f in fields(ObservableReport) for key in _flat_keys(f))
 
 
 def observable_report(state: State) -> ObservableReport:

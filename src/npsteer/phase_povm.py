@@ -77,12 +77,11 @@ class PhaseDensity:
             raise ValueError("phis must be the canonical uniform grid on [-pi, pi)")
         if float(values.min()) < NEGATIVE_CLIP_TOL:
             raise ValueError(f"density has negative values below {NEGATIVE_CLIP_TOL}")
-        values = np.clip(values, 0.0, None)
+        values = np.clip(values, 0.0, None)  # a new array, owned here
         total = float(values.sum()) * (TWO_PI / k)
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1")
         phis = phis.copy()
-        values = values.copy()
         phis.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "phis", phis)
@@ -119,9 +118,8 @@ class JointPhaseDensity:
             raise ValueError(f"values must be ({k}, {k}), got {values.shape}")
         if float(values.min()) < NEGATIVE_CLIP_TOL:
             raise ValueError("joint density has negative values")
-        values = np.clip(values, 0.0, None)
+        values = np.clip(values, 0.0, None)  # a new array, owned here
         phis = phis.copy()
-        values = values.copy()
         phis.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "phis", phis)
@@ -176,8 +174,10 @@ def joint_local_phase_density(
     m = np.arange(cutoff + 1)
     sign = np.where(m % 2 == 0, 1.0, -1.0)
     signed = state.coeffs * sign[:, None] * sign[None, :]
-    amp = np.fft.fft2(signed, s=(k, k))
-    return JointPhaseDensity(phase_grid(k), np.abs(amp) ** 2 / TWO_PI**2)
+    values = np.abs(np.fft.fft2(signed, s=(k, k)))  # the K x K complex transform is freed here
+    values **= 2
+    values /= TWO_PI**2
+    return JointPhaseDensity(phase_grid(k), values)
 
 
 def relative_marginal_from_joint(joint: JointPhaseDensity) -> PhaseDensity:
@@ -246,19 +246,22 @@ def _cells_to_angles(phis: np.ndarray, spacing: float, idx: np.ndarray, frac: np
     return wrap_angle(phis[idx] + (frac - 0.5) * spacing)
 
 
+def _groups(labels: np.ndarray):
+    """(label, indices of that label) for each distinct label, in increasing label order."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    for group in np.split(order, cuts):
+        yield int(labels[group[0]]), group
+
+
 def _sample_pure(state: PureTwoModeState, u1, u2, grid_size):
     joint = joint_local_phase_density(state, grid_size)
-    k = joint.grid_size
     mass = joint.values * joint.spacing**2
     row_mass = mass.sum(axis=1)
     idx1, frac1 = _invert_cells(_padded_cdf(row_mass), u1)
     phi1 = _cells_to_angles(joint.phis, joint.spacing, idx1, frac1)
     phi2 = np.empty_like(phi1)
-    order = np.argsort(idx1, kind="stable")
-    sorted_rows = idx1[order]
-    cuts = np.flatnonzero(np.diff(sorted_rows)) + 1
-    for group in np.split(order, cuts):
-        row = int(idx1[group[0]])
+    for row, group in _groups(idx1):
         col_cdf = _padded_cdf(mass[row] / row_mass[row])
         idx2, frac2 = _invert_cells(col_cdf, u2[group])
         phi2[group] = _cells_to_angles(joint.phis, joint.spacing, idx2, frac2)
@@ -315,22 +318,12 @@ def sample_local_phases(
         )
         phi1, phi2 = _sample_pure(state, u[:, 0], u[:, 1], k)
     else:
-        weight_cdf = _padded_cdf(state.weights())
-        sector_idx = np.clip(
-            np.searchsorted(weight_cdf, u[:, 0], side="right") - 1,
-            0,
-            len(state.sectors) - 1,
-        )
+        sector_idx, _ = _invert_cells(_padded_cdf(state.weights()), u[:, 0])
         phi1 = np.empty(shots)
         phi2 = np.empty(shots)
-        order = np.argsort(sector_idx, kind="stable")
-        sorted_sectors = sector_idx[order]
-        cuts = np.flatnonzero(np.diff(sorted_sectors)) + 1
-        for group in np.split(order, cuts):
-            sector = state.sectors[int(sector_idx[group[0]])][2]
-            p1, p2 = _sample_sector(sector, u[group, 1], u[group, 2], grid_size)
-            phi1[group] = p1
-            phi2[group] = p2
+        for s, group in _groups(sector_idx):
+            sector = state.sectors[s][2]
+            phi1[group], phi2[group] = _sample_sector(sector, u[group, 1], u[group, 2], grid_size)
     return (
         SampleSet(phi1, shots, seed, start_shot),
         SampleSet(phi2, shots, seed, start_shot),

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from . import fock
 from .fock import (
+    DEFAULT_TAIL_TOL,
     NumberDistribution,
     State,
     gaussian_distribution,
@@ -36,7 +37,6 @@ from .fock import (
 FAMILIES = ("number_phase", "split_fock", "tmss", "mixture")
 NOISE_KINDS = ("poissonian", "thermal", "gaussian", "point")
 MIXTURE_BASES = ("number_phase", "split_fock")
-DEFAULT_TAIL_TOL = 1e-10
 
 
 class StateSpecError(ValueError):
@@ -181,8 +181,14 @@ class StateSpec:
         return NumberDistribution.point(noise["n"])
 
     def build(self, tail_tol: float | None = None) -> State:
-        """Construct the state; spec-level tail_tol overrides the argument."""
+        """Construct the state; spec-level tail_tol overrides the argument.
+
+        The tolerance in effect must be finite with 0 < tail_tol < 1: a
+        tolerance of 1 or more would trim a distribution to nothing.
+        """
         tol = self.params.get("tail_tol", tail_tol if tail_tol is not None else DEFAULT_TAIL_TOL)
+        if not 0.0 < tol < 1.0:
+            raise StateSpecError(f"tail_tol must be finite with 0 < tail_tol < 1, got {tol!r}")
         p = self.params
         if self.family == "number_phase":
             return number_phase_state(p["n"], p.get("phi", 0.0))

@@ -5,11 +5,25 @@ import math
 import pytest
 
 from npsteer import REPORT_FIELDS
-from npsteer.cli import CURVE_COLUMNS, EVAL_CRITERIA, SWEEP_COLUMNS, main
+from npsteer.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
+
+# The criteria `eval` reports, in the order of its lines, payload and CSV columns.
+EVAL_CRITERIA = (
+    "NP_ENT",
+    "NP_STEER",
+    "NAIVE_ENT",
+    "NAIVE_STEER",
+    "HZ_ENT",
+    "HZ_STEER_A_BY_B",
+    "HZ_STEER_B_BY_A",
+)
 
 NP1 = '{"family": "number_phase", "n": 1}'
 NP3 = '{"family": "number_phase", "n": 3}'
 TMSS1 = '{"family": "tmss", "r": 1.0}'
+POISSON3 = (
+    '{"family": "mixture", "base": "number_phase", "noise": {"kind": "poissonian", "mean": 3.0}}'
+)
 
 
 def run(capsys, *argv):
@@ -137,6 +151,23 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--state", spec)
         assert code == 2
         assert "transmissivity" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "spec, flags",
+        [
+            (TMSS1, ["--tail-tol", "inf"]),  # was an OverflowError traceback, exit 1
+            (POISSON3, ["--tail-tol", "inf"]),  # was exit 0 with a false NP_ENT violation
+            (POISSON3, ["--tail-tol", "2"]),  # was exit 0, trimmed to n_mean 3.49
+            (POISSON3, ["--tail-tol", "nan"]),
+            (POISSON3, ["--tail-tol", "0"]),
+            ('{"family": "tmss", "r": 1.0, "tail_tol": 1.5}', []),
+        ],
+    )
+    def test_tail_tolerance_out_of_range_exits_two(self, capsys, spec, flags):
+        code, out, err = run(capsys, "eval", "--state", spec, *flags)
+        assert code == 2
+        assert "tail_tol" in err
         assert out == ""
 
 
@@ -315,6 +346,17 @@ class TestSample:
         )
         assert code == 0
         assert "ASSERT OK" in out
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "-1"])  # nan used to hide every violation
+    def test_z_out_of_range_exits_two(self, capsys, tmp_path, z):
+        code, out, err = run(
+            capsys, "sample", "--state", NP3, "--shots", "100",
+            "--out", str(tmp_path / "s.csv"), f"--z={z}",
+        )
+        assert code == 2
+        assert "--z" in err
+        assert out == ""
+        assert not (tmp_path / "s.csv").exists()
 
     def test_zero_shots_exits_two(self, capsys, tmp_path):
         code, _, err = run(

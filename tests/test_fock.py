@@ -3,11 +3,13 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import npsteer
 from npsteer import (
     NumberDistribution,
     PureTwoModeState,
@@ -79,6 +81,24 @@ class TestPureTwoModeState:
         masses = state.sector_masses()
         assert len(masses) == 9
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_grid_sector_view_lists_nonzero_anti_diagonals_in_order(self, rng, k):
+        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        c[rng.random((k, k)) < 0.6] = 0.0
+        c[0, 0] = 1.0  # the empty anti-diagonals must be left out, not this one
+        state = PureTwoModeState.normalized(c)
+        view, grid = state.sector_view, state.coeffs
+        want = [
+            (total, m[0], grid[m, total - m])
+            for total in range(2 * k - 1)
+            for m in [np.arange(max(0, total - k + 1), min(total, k - 1) + 1)]
+            if np.any(grid[m, total - m])
+        ]
+        assert view.totals.tolist() == [w[0] for w in want]
+        assert view.first_m.tolist() == [w[1] for w in want]
+        assert np.diff(view.starts).tolist() == [len(w[2]) for w in want]
+        assert view.amps.tobytes() == np.concatenate([w[2] for w in want]).tobytes()
 
 
 class TestFixedTotalConstructors:
@@ -362,6 +382,8 @@ def test_split_amplitude_mass_is_binomial(n, t):
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, npsteer; print('scipy' in sys.modules)"
+    # the child imports the npsteer this test imported, however pytest found it
+    src = str(Path(npsteer.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import npsteer; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -5,6 +5,11 @@ CSV bytes with the exact ``d2_hat`` and ``std_error`` (2,000 shots, seed
 2020), and every ``ObservableReport`` field of the six ``eval`` states the
 benchmark evaluates. A change of representation must reproduce them: the
 sample streams byte for byte, the report within 1e-12 relative.
+
+Its ``bytes`` entries hold the sha256 of whole outputs recorded before the
+output tables were built from their column lists: the ``eval`` stdout
+(verdict lines and JSON or CSV payload) and the ``sweep`` and ``curves``
+files. ``{out}`` in an argv stands for the output file.
 """
 import hashlib
 import json
@@ -57,3 +62,15 @@ def test_readme_verdict_lines_are_pinned(capsys):
         assert cli_main(["eval", "--state", '{"family": "number_phase", "n": 2}']) == 0
     got = [line.split("  [")[0] for line in capsys.readouterr().out.splitlines()[: len(want)]]
     assert got == want
+
+
+@pytest.mark.parametrize("case", GOLDEN["bytes"], ids=lambda c: " ".join(c["argv"][:1] + c["argv"][2:]))
+def test_output_bytes_are_pinned(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [arg.replace("{out}", str(out)) for arg in case["argv"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_main(argv) == 0
+    stdout = capsys.readouterr().out
+    data = stdout.encode() if case["output"] == "stdout" else out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == case["sha256"]

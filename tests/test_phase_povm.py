@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ class TestJointDensity:
         phase = np.exp(1j * (j.phis[:, None] - j.phis[None, :]))
         moment = complex(np.sum(phase * j.values) * h * h)
         assert moment == pytest.approx(exp_phase_relative(state), abs=1e-12)
+
+    def test_peak_memory_is_the_transform_and_its_modulus(self):
+        # the complex transform (2 real K x K grids) and its modulus (1 grid);
+        # the clipped grid the density keeps is made after the transform is
+        # freed, and every further K x K temporary would add a grid
+        state = rand_pure(np.random.default_rng(5), 40)
+        k = 1024
+        tracemalloc.start()
+        try:
+            joint_local_phase_density(state, grid_size=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * k * k * 8
 
 
 class TestLinearPhaseVariance:
