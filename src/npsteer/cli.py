@@ -14,6 +14,7 @@ requested truncation is unattainable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -152,6 +153,10 @@ def _check_asserts(spec: str | None, verdicts: list[CriterionVerdict]) -> int:
 def _load_spec(args: argparse.Namespace) -> StateSpec:
     if not args.state:
         raise _UsageError("--state is required for this command")
+    if args.tail_tol is not None and not 0.0 < args.tail_tol < 1.0:
+        raise _UsageError(
+            f"--tail-tol must be finite with 0 < tail_tol < 1, got {args.tail_tol!r}"
+        )
     return load_state_spec(args.state)
 
 
@@ -194,25 +199,52 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+@contextlib.contextmanager
+def _writable(*paths: str | None):
+    """Check that every output path given can be written before the work starts.
+
+    Opening for append creates a missing file and leaves an existing one as it
+    is; the files created here are removed again if the work fails. A path of
+    None (output to stdout) is skipped.
+    """
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    report, verdicts = _evaluate(spec, args)
-    for v in verdicts:
-        print(_verdict_line(v))
-    if (args.format or "json") == "json":
-        payload = {
-            "spec": _spec_echo(spec),
-            "report": report.to_json_dict(),
-            "verdicts": [v.to_json_dict() for v in verdicts],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        values = _columns(report, verdicts)
-        text = _table(tuple(values), [values])
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text, end="")
+    with _writable(args.out):
+        report, verdicts = _evaluate(spec, args)
+        for v in verdicts:
+            print(_verdict_line(v))
+        if (args.format or "json") == "json":
+            payload = {
+                "spec": _spec_echo(spec),
+                "report": report.to_json_dict(),
+                "verdicts": [v.to_json_dict() for v in verdicts],
+            }
+            text = json.dumps(payload, indent=2) + "\n"
+        else:
+            values = _columns(report, verdicts)
+            text = _table(tuple(values), [values])
+        if args.out:
+            _write(args.out, text)
+        else:
+            print(text, end="")
     return _check_asserts(args.assert_spec, verdicts)
 
 
@@ -226,15 +258,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     var, values = _parse_range(args.sweep, SWEEP_VARS)
     rows = []
-    for value in values.tolist():
-        try:
-            point = spec.with_param(var, value)
-        except StateSpecError as exc:
-            raise _UsageError(str(exc)) from exc
-        report, verdicts = _evaluate(point, args)
-        naive_ok = next(v.advisory is None for v in verdicts if v.criterion_id == "NAIVE_ENT")
-        rows.append({"parameter": value, "naive_applicable": naive_ok, **_columns(report, verdicts)})
-    _write(args.out, _table(SWEEP_COLUMNS, rows))
+    with _writable(args.out):
+        for value in values.tolist():
+            try:
+                point = spec.with_param(var, value)
+            except StateSpecError as exc:
+                raise _UsageError(str(exc)) from exc
+            report, verdicts = _evaluate(point, args)
+            naive_ok = next(v.advisory is None for v in verdicts if v.criterion_id == "NAIVE_ENT")
+            rows.append({"parameter": value, "naive_applicable": naive_ok, **_columns(report, verdicts)})
+        _write(args.out, _table(SWEEP_COLUMNS, rows))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -242,38 +275,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if not args.out:
         raise _UsageError("sample requires --out")
-    if args.shots < 1:
-        raise _UsageError("--shots must be >= 1")
+    if args.shots < 2:
+        raise _UsageError("--shots must be >= 2")
     if not (math.isfinite(args.z) and args.z >= 0.0):
         raise _UsageError(f"--z must be finite and >= 0, got {args.z!r}")
     spec = _load_spec(args)
-    state = spec.build(args.tail_tol)
-    s1, s2 = sample_local_phases(state, args.shots, args.seed, grid_size=args.grid)
-    write_samples_csv(args.out, s1, s2)
-    est = estimate_relative_dispersion(s1, s2)
-    n_mean, n_var, _, _ = number_moments(state)
-    verdicts = list(sampled_np_verdicts(n_var, est.d2_hat, est.std_error, z=args.z))
-    print(
-        f"d2_hat = {est.d2_hat:.6g} +/- {est.std_error:.3g} "
-        f"({est.method}, {est.shots} shots)"
-    )
-    for v in verdicts:
-        print(_verdict_line(v))
-    payload = {
-        "spec": _spec_echo(spec),
-        "shots": args.shots,
-        "seed": args.seed,
-        "z": args.z,
-        "d2_hat": est.d2_hat,
-        "std_error": est.std_error,
-        "method": est.method,
-        "resamples": est.resamples,
-        "n_mean": float(n_mean),
-        "n_var": float(n_var),
-        "verdicts": [v.to_json_dict() for v in verdicts],
-    }
     est_path = args.out + ".est.json"
-    _write(est_path, json.dumps(payload, indent=2) + "\n")
+    with _writable(args.out, est_path):
+        state = spec.build(args.tail_tol)
+        s1, s2 = sample_local_phases(state, args.shots, args.seed, grid_size=args.grid)
+        # The CSV is written on this thread while the bootstrap resamples on a helper.
+        est = estimate_relative_dispersion(
+            s1, s2, alongside=lambda: write_samples_csv(args.out, s1, s2)
+        )
+        n_mean, n_var, _, _ = number_moments(state)
+        verdicts = list(sampled_np_verdicts(n_var, est.d2_hat, est.std_error, z=args.z))
+        print(
+            f"d2_hat = {est.d2_hat:.6g} +/- {est.std_error:.3g} "
+            f"({est.method}, {est.shots} shots)"
+        )
+        for v in verdicts:
+            print(_verdict_line(v))
+        payload = {
+            "spec": _spec_echo(spec),
+            "shots": args.shots,
+            "seed": args.seed,
+            "z": args.z,
+            "d2_hat": est.d2_hat,
+            "std_error": est.std_error,
+            "method": est.method,
+            "resamples": est.resamples,
+            "n_mean": float(n_mean),
+            "n_var": float(n_var),
+            "verdicts": [v.to_json_dict() for v in verdicts],
+        }
+        _write(est_path, json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.shots} samples to {args.out}, estimate to {est_path}")
     return _check_asserts(args.assert_spec, verdicts)
 
@@ -284,15 +320,16 @@ def cmd_curves(args: argparse.Namespace) -> int:
     _, values = _parse_range(args.sweep or DEFAULT_CURVE_RANGE, ("d2",))
     if float(values.min()) <= 0.0 or float(values.max()) > 1.0:
         raise _UsageError("curves grid must stay inside (0, 1]")
-    ent, steer, ur = (
-        boundary_curves(cid, values).threshold for cid in ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
-    )
-    rows = [
-        {"d2": d2, "ent_threshold": e, "steer_threshold": s, "ur_sum_bound": u,
-         "ur_flat_reference": 0.75, "ur_min_d2": 0.5}
-        for d2, e, s, u in zip(values.tolist(), ent.tolist(), steer.tolist(), ur.tolist())
-    ]
-    _write(args.out, _table(CURVE_COLUMNS, rows))
+    with _writable(args.out):
+        ent, steer, ur = (
+            boundary_curves(cid, values).threshold for cid in ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
+        )
+        rows = [
+            {"d2": d2, "ent_threshold": e, "steer_threshold": s, "ur_sum_bound": u,
+             "ur_flat_reference": 0.75, "ur_min_d2": 0.5}
+            for d2, e, s, u in zip(values.tolist(), ent.tolist(), steer.tolist(), ur.tolist())
+        ]
+        _write(args.out, _table(CURVE_COLUMNS, rows))
     print(f"wrote {len(rows)} curve rows to {args.out}")
     return 0
 

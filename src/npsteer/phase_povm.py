@@ -12,8 +12,10 @@ split by ``start_shot`` reproduce the sequential stream exactly.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,12 @@ NEGATIVE_CLIP_TOL = -1e-14
 MIN_GRID = 64
 MIN_SAMPLING_GRID = 256
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
+# The bootstrap's helper thread must win the GIL back from the CSV writer
+# after every numpy call: few, large index draws (a 2 MB temporary each) and
+# short formatting chunks (each one long C call under the GIL) let it keep up.
+DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
+CSV_CHUNK_ROWS = 1 << 10  # rows formatted per write
+MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time
 
 
 def nyquist_minimum(cutoff: int) -> int:
@@ -254,15 +262,23 @@ def _groups(labels: np.ndarray):
         yield int(labels[group[0]]), group
 
 
-def _sample_pure(state: PureTwoModeState, u1, u2, grid_size):
+def _sample_pure(state: PureTwoModeState, grid_size, seed, start_shot, shots):
     joint = joint_local_phase_density(state, grid_size)
-    mass = joint.values * joint.spacing**2
-    row_mass = mass.sum(axis=1)
+    # Drawn only now, so that the uniforms do not add to the transform's peak.
+    u = _shot_uniforms(seed, start_shot, shots)
+    u1, u2 = u[:, 0], u[:, 1]
+    h2 = joint.spacing**2
+    # Cell masses are values * h2, formed a block of rows at a time rather than
+    # as a second K x K array; the per-row sums are the same.
+    row_mass = np.concatenate(
+        [(joint.values[lo : lo + MASS_ROW_BLOCK] * h2).sum(axis=1)
+         for lo in range(0, joint.grid_size, MASS_ROW_BLOCK)]
+    )
     idx1, frac1 = _invert_cells(_padded_cdf(row_mass), u1)
     phi1 = _cells_to_angles(joint.phis, joint.spacing, idx1, frac1)
     phi2 = np.empty_like(phi1)
     for row, group in _groups(idx1):
-        col_cdf = _padded_cdf(mass[row] / row_mass[row])
+        col_cdf = _padded_cdf(joint.values[row] * h2 / row_mass[row])
         idx2, frac2 = _invert_cells(col_cdf, u2[group])
         phi2[group] = _cells_to_angles(joint.phis, joint.spacing, idx2, frac2)
     return phi1, phi2
@@ -311,13 +327,13 @@ def sample_local_phases(
         raise ValueError("seed and start_shot must be non-negative integers")
     if grid_size is not None:
         grid_size = _validate_grid(grid_size, state.cutoff, floor=MIN_SAMPLING_GRID)
-    u = _shot_uniforms(seed, start_shot, shots)
     if isinstance(state, PureTwoModeState):
         k = grid_size if grid_size is not None else default_grid_size(
             state.cutoff, floor=MIN_SAMPLING_GRID
         )
-        phi1, phi2 = _sample_pure(state, u[:, 0], u[:, 1], k)
+        phi1, phi2 = _sample_pure(state, k, seed, start_shot, shots)
     else:
+        u = _shot_uniforms(seed, start_shot, shots)
         sector_idx, _ = _invert_cells(_padded_cdf(state.weights()), u[:, 0])
         phi1 = np.empty(shots)
         phi2 = np.empty(shots)
@@ -330,12 +346,84 @@ def sample_local_phases(
     )
 
 
+def _helper_count() -> int:
+    """Helper threads for the bootstrap: one when this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 1 if cpus > 1 else 0
+
+
+def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, alongside):
+    """The resampled dispersions, in draw order, with ``alongside()`` run on the calling thread.
+
+    Each resample's indices are drawn under one lock, in resample order, from
+    ``rng``, and its value is stored at its draw index, so the values are the
+    same whichever thread gathers them. The draws, the gather and the mean
+    release the GIL, so a helper thread resamples while ``alongside()`` (the
+    CSV writer) runs; then the calling thread joins in. The calling thread
+    allocates every worker's index and gather buffers, once per estimate, so
+    the helper makes no large allocation of its own (glibc would serve it
+    from a separate per-thread arena and raise the peak resident size).
+    """
+    n = len(z)
+    vals = np.empty(resamples)
+    lock = threading.Lock()
+    next_draw = 0
+    stop = False
+    errors: list[BaseException] = []
+
+    def work(idx: np.ndarray, buf: np.ndarray) -> None:
+        nonlocal next_draw
+        while True:
+            with lock:
+                i = next_draw
+                if stop or i >= resamples:
+                    return
+                next_draw = i + 1
+                for lo in range(0, n, DRAW_CHUNK):
+                    hi = min(n, lo + DRAW_CHUNK)
+                    idx[lo:hi] = rng.integers(0, n, hi - lo)
+            np.take(z, idx, out=buf, mode="clip")  # indices are in range: clip changes nothing
+            vals[i] = 1.0 - abs(complex(buf.mean())) ** 2
+
+    def helper(idx: np.ndarray, buf: np.ndarray) -> None:
+        nonlocal stop
+        try:
+            work(idx, buf)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+            stop = True
+
+    def buffers():
+        return np.empty(n, dtype=np.intp), np.empty(n, dtype=z.dtype)
+
+    threads = [threading.Thread(target=helper, args=buffers()) for _ in range(_helper_count())]
+    for t in threads:
+        t.start()
+    try:
+        if alongside is not None:
+            alongside()
+        work(*buffers())
+    except BaseException:
+        stop = True
+        raise
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return vals
+
+
 def estimate_relative_dispersion(
     samples1: SampleSet,
     samples2: SampleSet,
     method: str = "bootstrap",
     resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
     seed: int | None = None,
+    alongside: Callable[[], object] | None = None,
 ) -> DispersionEstimate:
     """Plug-in estimate of the relative phase dispersion with a resampling error bar.
 
@@ -343,7 +431,9 @@ def estimate_relative_dispersion(
     bias of about -d2/shots (so -1/shots for a flat density); the standard
     error comes from a nonparametric bootstrap (default) or the jackknife.
     The bootstrap stream is derived deterministically from the sample seeds
-    unless an explicit seed is given.
+    unless an explicit seed is given. ``alongside``, if given, is called once
+    on the calling thread while the bootstrap resamples on a helper thread
+    (when more than one CPU is available); the result does not depend on it.
     """
     if samples1.shots != samples2.shots:
         raise ValueError("sample sets must have equal shot counts")
@@ -360,12 +450,10 @@ def estimate_relative_dispersion(
         else:
             ss = np.random.SeedSequence(seed)
         rng = np.random.Generator(np.random.PCG64(ss))
-        vals = np.empty(resamples)
-        for i in range(resamples):
-            idx = rng.integers(0, n, n)
-            vals[i] = 1.0 - abs(complex(z[idx].mean())) ** 2
-        err = float(vals.std(ddof=1))
+        err = float(_bootstrap_values(z, rng, resamples, alongside).std(ddof=1))
     elif method == "jackknife":
+        if alongside is not None:
+            alongside()
         total = complex(z.sum())
         loo = (total - z) / (n - 1)
         d2_loo = 1.0 - np.abs(loo) ** 2
@@ -393,24 +481,27 @@ def linear_phase_variance(density: PhaseDensity) -> float:
     return second - mean * mean
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows, each cell the repr of its Python value.
+
+    Rows are formatted a chunk at a time, so no column becomes one long list.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            cells = [map(repr, col[lo : lo + CSV_CHUNK_ROWS].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def write_samples_csv(path, samples1: SampleSet, samples2: SampleSet) -> None:
     """Write paired samples as CSV rows (shot_index, phi1, phi2)."""
     if samples1.shots != samples2.shots or samples1.start_shot != samples2.start_shot:
         raise ValueError("sample sets must be aligned")
     start = samples1.start_shot
-    with open(path, "w", newline="") as fh:
-        fh.write("shot_index,phi1,phi2\n")
-        fh.writelines(
-            f"{start + i},{a!r},{b!r}\n"
-            for i, (a, b) in enumerate(zip(samples1.phis.tolist(), samples2.phis.tolist()))
-        )
+    shot_index = np.arange(start, start + samples1.shots)
+    _write_csv(path, "shot_index,phi1,phi2", (shot_index, samples1.phis, samples2.phis))
 
 
 def write_density_csv(path, density: PhaseDensity) -> None:
     """Write a phase density as CSV rows (phi, p)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("phi,p\n")
-        fh.writelines(
-            f"{phi!r},{val!r}\n"
-            for phi, val in zip(density.phis.tolist(), density.values.tolist())
-        )
+    _write_csv(path, "phi,p", (density.phis, density.values))

@@ -162,3 +162,33 @@ def rand_mixture(rng: np.random.Generator, max_total: int, n_sectors: int) -> Se
     )
     amps = {int(n): rand_single(rng, int(n) + 1) for n in totals}
     return mixture_from_sector_amplitudes(dist, lambda n: amps[n])
+
+
+def oracle_bootstrap_std(samples1, samples2, resamples: int, seed: int | None = None) -> float:
+    """Bootstrap standard error of the dispersion estimate, one resample after another.
+
+    The serial loop the estimator ran before its resamples moved to a helper
+    thread: the same PCG64 stream, seeded the same way, one
+    ``rng.integers(0, n, n)`` draw per resample.
+    """
+    n = samples1.shots
+    z = np.exp(1j * (samples1.phis - samples2.phis))
+    if seed is None:
+        ss = np.random.SeedSequence((samples1.seed, samples2.seed, n, 0xD157))
+    else:
+        ss = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.PCG64(ss))
+    vals = np.empty(resamples)
+    for i in range(resamples):
+        idx = rng.integers(0, n, n)
+        vals[i] = 1.0 - abs(complex(z[idx].mean())) ** 2
+    return float(vals.std(ddof=1))
+
+
+def oracle_samples_csv(samples1, samples2) -> str:
+    """The sample CSV text as the per-row f-string writer produced it."""
+    start = samples1.start_shot
+    rows = zip(samples1.phis.tolist(), samples2.phis.tolist())
+    return "shot_index,phi1,phi2\n" + "".join(
+        f"{start + i},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)
+    )

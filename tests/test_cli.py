@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import threading
 
 import pytest
 
@@ -49,6 +50,12 @@ def split_dispersion(n: int) -> float:
         math.sqrt(math.comb(n, m) * math.comb(n, m - 1)) for m in range(1, n + 1)
     ) / 2.0**n
     return 1.0 - e * e
+
+
+def assert_cannot_write(code, out, err, path):
+    assert code == 2
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert out == ""
 
 
 class TestEval:
@@ -169,6 +176,18 @@ class TestEval:
         assert code == 2
         assert "tail_tol" in err
         assert out == ""
+
+    def test_tail_tolerance_flag_error_names_the_flag_not_the_spec(self, capsys):
+        code, out, err = run(capsys, "eval", "--state", TMSS1, "--tail-tol", "inf")
+        assert code == 2
+        assert err == "error: --tail-tol must be finite with 0 < tail_tol < 1, got inf\n"
+        assert "bad state spec" not in err
+        assert out == ""
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "eval.json"
+        code, out, err = run(capsys, "eval", "--state", NP1, "--out", str(path))
+        assert_cannot_write(code, out, err, path)
 
 
 class TestEvalAsserts:
@@ -293,6 +312,13 @@ class TestSweep:
         assert code == 2
         assert "kappa" in err
 
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--state", NP1, "--sweep", "N:1:3:1", "--out", str(path)
+        )
+        assert_cannot_write(code, out, err, path)
+
 
 class TestSample:
     def test_deterministic_outputs(self, capsys, tmp_path):
@@ -371,6 +397,41 @@ class TestSample:
         assert code == 2
         assert "--out" in err
 
+    def test_unwritable_out_exits_two_and_leaves_no_thread(self, capsys, tmp_path):
+        threads = threading.active_count()
+        path = tmp_path / "no" / "such" / "s.csv"
+        code, out, err = run(capsys, "sample", "--state", NP3, "--shots", "100", "--out", str(path))
+        assert_cannot_write(code, out, err, path)
+        assert threading.active_count() == threads
+
+    def test_one_shot_exits_two_before_any_file(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "sample", "--state", NP3, "--shots", "1", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 2
+        assert err == "error: --shots must be >= 2\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_no_file(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "sample", "--state", '{"family": "tmss", "r": 20}',
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert "double precision" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_an_existing_output(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("earlier run\n")
+        code, _, _ = run(
+            capsys, "sample", "--state", '{"family": "tmss", "r": 20}', "--out", str(path)
+        )
+        assert code == 3
+        assert path.read_text() == "earlier run\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestCurves:
     def test_default_grid_and_reference_values(self, capsys, tmp_path):
@@ -420,6 +481,11 @@ class TestCurves:
         code, _, err = run(capsys, "curves")
         assert code == 2
         assert "--out" in err
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "curves.csv"
+        code, out, err = run(capsys, "curves", "--out", str(path))
+        assert_cannot_write(code, out, err, path)
 
 
 def test_unknown_subcommand_is_a_parser_error():

@@ -10,6 +10,10 @@ Its ``bytes`` entries hold the sha256 of whole outputs recorded before the
 output tables were built from their column lists: the ``eval`` stdout
 (verdict lines and JSON or CSV payload) and the ``sweep`` and ``curves``
 files. ``{out}`` in an argv stands for the output file.
+
+Its ``chunked_samples`` entries were recorded before the bootstrap moved to a
+helper thread and the CSV writer to chunks: a run long enough to span many
+writer chunks, run again with index draws split into several chunks.
 """
 import hashlib
 import json
@@ -18,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from npsteer import phase_povm
 from npsteer.cli import main as cli_main
 from npsteer.observables import observable_report
 from npsteer.statespec import parse_state_spec
@@ -38,6 +43,24 @@ def test_sample_stream_and_estimate_are_pinned(case, tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"]
     est = json.loads((tmp_path / "s.csv.est.json").read_text())
+    assert est["d2_hat"] == case["d2_hat"]
+    assert est["std_error"] == case["std_error"]
+
+
+@pytest.mark.parametrize("draw_chunk", [phase_povm.DRAW_CHUNK, 1 << 15])
+@pytest.mark.parametrize("case", GOLDEN["chunked_samples"], ids=lambda c: json.dumps(c["spec"]))
+def test_chunked_sample_outputs_are_pinned(case, draw_chunk, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(phase_povm, "DRAW_CHUNK", draw_chunk)
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--state", json.dumps(case["spec"]), "--shots", str(case["shots"]),
+            "--seed", str(case["seed"]), "--out", str(out)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert case["shots"] > 4 * phase_povm.CSV_CHUNK_ROWS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"]
+    est_bytes = (tmp_path / "s.csv.est.json").read_bytes()
+    assert hashlib.sha256(est_bytes).hexdigest() == case["est_sha256"]
+    est = json.loads(est_bytes)
     assert est["d2_hat"] == case["d2_hat"]
     assert est["std_error"] == case["std_error"]
 

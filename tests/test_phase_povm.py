@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,7 +32,15 @@ from npsteer import (
     write_samples_csv,
 )
 
-from oracles import oracle_joint_density, oracle_relative_density, rand_mixture, rand_pure
+from npsteer import phase_povm
+from oracles import (
+    oracle_bootstrap_std,
+    oracle_joint_density,
+    oracle_relative_density,
+    oracle_samples_csv,
+    rand_mixture,
+    rand_pure,
+)
 
 
 FAMILY_STATES = [
@@ -387,6 +397,96 @@ class TestCsvWriters:
         data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
         np.testing.assert_array_equal(data[:, 0], density.phis)
         np.testing.assert_array_equal(data[:, 1], density.values)
+
+
+class TestThreadedBootstrap:
+    """The resamples run on a helper thread beside ``alongside``; the result must not show it."""
+
+    @pytest.fixture
+    def odd_samples(self):
+        return sample_local_phases(split_fock_state(4, 0.3, 0.5), 5003, seed=29)
+
+    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("draw_chunk", [phase_povm.DRAW_CHUNK, 1000])
+    def test_equals_the_serial_loop(self, monkeypatch, odd_samples, helpers, draw_chunk):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
+        monkeypatch.setattr(phase_povm, "DRAW_CHUNK", draw_chunk)
+        s1, s2 = odd_samples
+        calls = []
+        for seed in (None, 5):
+            est = estimate_relative_dispersion(
+                s1, s2, resamples=37, seed=seed, alongside=lambda: calls.append(1)
+            )
+            assert est.std_error == oracle_bootstrap_std(s1, s2, 37, seed)
+            assert est.resamples == 37
+        assert calls == [1, 1]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Every draw index must be claimed once and stored once: a lost update
+        # or a race on the shared counter would change the error bar.
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 4)
+        monkeypatch.setattr(phase_povm, "DRAW_CHUNK", 64)
+        s1, s2 = sample_local_phases(number_phase_state(2, 0.0), 301, seed=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = estimate_relative_dispersion(s1, s2, resamples=400)
+        finally:
+            sys.setswitchinterval(interval)
+        assert est.std_error == oracle_bootstrap_std(s1, s2, 400)
+
+    def test_alongside_runs_once_for_the_jackknife(self, odd_samples):
+        calls = []
+        est = estimate_relative_dispersion(
+            *odd_samples, method="jackknife", alongside=lambda: calls.append(1)
+        )
+        assert calls == [1]
+        assert est.resamples == 0
+
+    def test_helper_failure_raises_in_the_caller(self, monkeypatch, odd_samples):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        take = np.take
+
+        def failing_on_helper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(phase_povm.np, "take", failing_on_helper)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            estimate_relative_dispersion(*odd_samples, resamples=37)
+        assert threading.active_count() == threads
+
+    def test_alongside_failure_stops_the_helper_and_raises(self, monkeypatch, odd_samples):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        s1, s2 = odd_samples
+        z = np.exp(1j * (s1.phis - s2.phis))
+
+        class CountingRng:
+            draws = 0
+
+            def integers(self, *args):
+                self.draws += 1
+                return np.random.default_rng(0).integers(*args)
+
+        def failing_writer():
+            raise OSError("disk full")
+
+        rng = CountingRng()
+        threads = threading.active_count()
+        with pytest.raises(OSError, match="disk full"):
+            phase_povm._bootstrap_values(z, rng, 10_000, failing_writer)
+        assert threading.active_count() == threads
+        assert rng.draws < 100  # the helper stopped after its current resample
+
+    @pytest.mark.parametrize("chunk_rows", [phase_povm.CSV_CHUNK_ROWS, 7])
+    def test_chunked_csv_writer_keeps_the_row_bytes(self, monkeypatch, tmp_path, chunk_rows):
+        monkeypatch.setattr(phase_povm, "CSV_CHUNK_ROWS", chunk_rows)
+        s1, s2 = sample_local_phases(number_phase_state(2, 0.0), 50, seed=4, start_shot=998)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, s1, s2)
+        assert path.read_text() == oracle_samples_csv(s1, s2)
 
 
 @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(0, 8))
