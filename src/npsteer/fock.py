@@ -23,6 +23,9 @@ import numpy as np
 NORM_TOL = 1e-12
 OFF_SECTOR_TOL = 1e-14
 DEFAULT_TAIL_TOL = 1e-10
+# Largest single dense array a state or density may allocate (1 GiB): an
+# amplitude grid up to cutoff 8191, a joint phase density up to K = 8192.
+MAX_ARRAY_BYTES = 1 << 30
 
 # math.comb stays exact and convertible to float up to roughly this order
 _EXACT_BINOM_LIMIT = 300
@@ -34,6 +37,14 @@ class TruncationError(Exception):
     def __init__(self, message: str, required_cutoff: int | None = None):
         super().__init__(message)
         self.required_cutoff = required_cutoff
+
+
+def require_array_bytes(nbytes: int, what: str) -> None:
+    """Raise TruncationError, naming ``what`` and ``nbytes``, if one array would exceed MAX_ARRAY_BYTES."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise TruncationError(
+            f"{what} needs {nbytes:,} bytes, over the {MAX_ARRAY_BYTES:,}-byte limit on one array"
+        )
 
 
 class SectorView(NamedTuple):
@@ -67,15 +78,20 @@ class SectorView(NamedTuple):
         return pairs
 
 
-def _sector_view(blocks: Iterable[tuple[int, int, np.ndarray, float]]) -> SectorView:
-    """View of (N, first m, amplitudes, weight) blocks given in increasing N."""
-    kept = [(n, m0, a, math.sqrt(w)) for n, m0, a, w in blocks if w > 0.0 and np.any(a)]
-    starts = np.concatenate(([0], np.cumsum([len(b[2]) for b in kept], dtype=np.int64)))
-    flat = np.empty(starts[-1], dtype=np.complex128)
-    for (_, _, amps, scale), lo, hi in zip(kept, starts[:-1], starts[1:]):
-        np.multiply(amps, scale, out=flat[lo:hi])
-    totals, first_m = (np.array([b[i] for b in kept], dtype=np.int64) for i in (0, 1))
-    return SectorView(flat, starts, totals, first_m)
+def _weighted_view(
+    amps: np.ndarray, starts: np.ndarray, totals: np.ndarray, weights: np.ndarray
+) -> SectorView:
+    """View of sectors stored flat from m = 0, each scaled by the root of its weight.
+
+    Sectors of zero weight or without amplitude are left out.
+    """
+    counts = np.diff(starts)
+    scaled = amps * np.repeat(np.sqrt(weights), counts)
+    kept = (weights > 0.0) & np.logical_or.reduceat(amps != 0, starts[:-1])
+    if not kept.all():
+        scaled, counts = scaled[np.repeat(kept, counts)], counts[kept]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+    return SectorView(scaled, starts, totals[kept], np.zeros(len(counts), dtype=np.int64))
 
 
 class PureTwoModeState:
@@ -134,7 +150,8 @@ class PureTwoModeState:
     @cached_property
     def sector_view(self) -> SectorView:
         if self._sector is not None:
-            return _sector_view([(self._sector.total, 0, self._sector.amps, 1.0)])
+            n = self._sector.total
+            return _weighted_view(self._sector.amps, np.array([0, n + 1]), np.array([n]), np.ones(1))
         # anti-diagonal N holds c[m, N - m] for max(0, N - k + 1) <= m <= min(N, k - 1)
         k = len(self._coeffs)
         totals = np.arange(2 * k - 1)
@@ -314,6 +331,10 @@ def two_mode_squeezed_state(
                 f">= {tail_tol:g}; cutoff >= {required} required",
                 required_cutoff=required,
             )
+    require_array_bytes(
+        16 * (cutoff + 1) ** 2,
+        f"squeezing r={r!r} at cutoff {cutoff}: the {cutoff + 1} x {cutoff + 1} amplitude grid",
+    )
     m = np.arange(cutoff + 1)
     amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else np.eye(1)[0]
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
@@ -499,52 +520,87 @@ class SectorState:
         return PureTwoModeState.from_sector(self.total, self.amps)
 
 
-@dataclass(frozen=True)
 class SectorMixture:
     """Statistical mixture of pure states living in distinct total-number sectors.
 
-    ``sectors`` holds (N, weight, state) triples; weights sum to one and the
-    sector labels are strictly increasing. Sector states are stored in the
-    compact anti-diagonal form (SectorState) since by construction they carry
-    no support off the m + n = N anti-diagonal.
+    Stored flat: sector s has total ``totals()[s]``, weight ``weights()[s]``
+    and unit-norm amplitudes ``amps[starts[s]:starts[s + 1]]`` on
+    |m>|N - m>, m = 0..N. Totals strictly increase and the weights sum to
+    one. ``SectorMixture(sectors)`` builds these arrays from
+    (N, weight, SectorState) triples; ``sectors`` gives the triples back,
+    built the first time it is read. All arrays are read-only.
     """
 
-    sectors: tuple[tuple[int, float, SectorState], ...]
+    def __init__(self, sectors: Iterable[tuple[int, float, SectorState]]):
+        sectors = tuple(sectors)
+        for n, _, state in sectors:
+            if state.total != n:
+                raise ValueError(f"sector labeled {n} holds a state of total {state.total}")
+        counts = [len(state.amps) for _, _, state in sectors]
+        self._adopt(
+            np.array([n for n, _, _ in sectors], dtype=np.int64),
+            np.array([w for _, w, _ in sectors], dtype=float),
+            np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            np.concatenate([np.zeros(0, np.complex128)] + [state.amps for _, _, state in sectors]),
+        )
+        self.__dict__["sectors"] = sectors
 
-    def __post_init__(self):
-        if not self.sectors:
+    @classmethod
+    def _flat(cls, totals, weights, starts, amps) -> "SectorMixture":
+        mix = cls.__new__(cls)
+        mix._adopt(totals, weights, starts, amps)
+        return mix
+
+    def _adopt(self, totals: np.ndarray, weights: np.ndarray, starts: np.ndarray, amps: np.ndarray):
+        """Check the flat arrays (NaN-safe) and keep them, read-only."""
+        if len(totals) == 0:
             raise ValueError("mixture needs at least one sector")
-        totals = [n for n, _, _ in self.sectors]
-        if any(b <= a for a, b in zip(totals, totals[1:])):
+        if np.any(totals[1:] <= totals[:-1]):
             raise ValueError("sector labels must be strictly increasing")
-        weights = np.array([w for _, w, _ in self.sectors])
         if np.any(weights < 0):
             raise ValueError("sector weights must be >= 0")
         if not abs(weights.sum() - 1.0) <= NORM_TOL:
             raise ValueError(f"sector weights sum to {weights.sum()!r}, not 1")
-        for n, _, state in self.sectors:
-            if state.total != n:
-                raise ValueError(f"sector labeled {n} holds a state of total {state.total}")
+        counts = np.diff(starts)
+        wrong = np.flatnonzero(counts != totals + 1)
+        if len(wrong):
+            n = int(totals[wrong[0]])
+            raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {int(counts[wrong[0]])}")
+        norms = np.add.reduceat(np.abs(amps) ** 2, starts[:-1])
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+        if len(off):
+            raise ValueError(f"sector state norm**2 = {float(norms[off[0]])!r} deviates from 1")
+        for a in (totals, weights, starts, amps):
+            a.flags.writeable = False
+        self._totals, self._weights, self.starts, self.amps = totals, weights, starts, amps
 
     @property
     def cutoff(self) -> int:
-        return self.sectors[-1][0]
+        return int(self._totals[-1])
 
     def totals(self) -> np.ndarray:
-        return np.array([n for n, _, _ in self.sectors], dtype=np.int64)
+        return self._totals
 
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w, _ in self.sectors], dtype=float)
+        return self._weights
 
     def distribution(self) -> NumberDistribution:
-        return NumberDistribution.from_probs({n: w for n, w, _ in self.sectors})
+        return NumberDistribution.from_probs(dict(zip(self._totals.tolist(), self._weights.tolist())))
+
+    @cached_property
+    def sectors(self) -> tuple[tuple[int, float, SectorState], ...]:
+        bounds = zip(self.starts[:-1].tolist(), self.starts[1:].tolist())
+        return tuple(
+            (n, w, SectorState(n, self.amps[lo:hi]))
+            for n, w, (lo, hi) in zip(self._totals.tolist(), self._weights.tolist(), bounds)
+        )
 
     def iter_sectors(self) -> Iterator[tuple[int, float, SectorState]]:
         return iter(self.sectors)
 
     @cached_property
     def sector_view(self) -> SectorView:
-        return _sector_view((n, 0, state.amps, w) for n, w, state in self.sectors)
+        return _weighted_view(self.amps, self.starts, self._totals, self._weights)
 
 
 def mixture_from_sector_amplitudes(
@@ -553,15 +609,20 @@ def mixture_from_sector_amplitudes(
     """Mix the sector states ``amps_builder(N)`` with weights from ``dist``.
 
     ``amps_builder(N)`` returns the N + 1 amplitudes on |m>|N - m>, which
-    are normalized here.
+    are normalized here and written into one flat array.
     """
-    sectors = []
-    for n, w in zip(dist.support(), dist.masses()):
-        n = int(n)
-        amps = np.asarray(amps_builder(n), dtype=np.complex128)
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        sectors.append((n, float(w), SectorState(n, amps / norm)))
-    return SectorMixture(tuple(sectors))
+    totals = dist.support()
+    starts = np.concatenate(([0], np.cumsum(totals + 1)))
+    require_array_bytes(
+        16 * int(starts[-1]), f"a mixture of {len(totals)} sectors up to N = {int(totals[-1])}"
+    )
+    amps = np.empty(starts[-1], dtype=np.complex128)
+    for n, lo, hi in zip(totals.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
+        a = np.asarray(amps_builder(n), dtype=np.complex128)
+        if a.shape != (n + 1,):
+            raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
+        np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
+    return SectorMixture._flat(totals, dist.masses(), starts, amps)
 
 
 def mixture_over_sectors(

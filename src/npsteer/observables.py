@@ -206,9 +206,6 @@ class ObservableReport:
             out.update(zip(_flat_keys(f), parts))
         return out
 
-    def to_csv_row(self) -> list[str]:
-        return [repr(float(x)) for x in self.to_json_dict().values()]
-
 
 def _is_complex(f: Field) -> bool:
     return f.type == "complex"  # annotations are strings here (postponed evaluation)

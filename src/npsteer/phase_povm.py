@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fock import PureTwoModeState, SectorState, State
+from .fock import PureTwoModeState, State, require_array_bytes
 
 TWO_PI = 2.0 * math.pi
 DENSITY_NORM_TOL = 1e-8
@@ -33,6 +33,10 @@ DEFAULT_BOOTSTRAP_RESAMPLES = 200
 DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
 CSV_CHUNK_ROWS = 1 << 10  # rows formatted per write
 MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time
+# Sector profiles are transformed a block of (sector, angle) cells at a time:
+# 32 sectors at K = 4096, about 3 MB of transform and power, and fewer sectors
+# per block at larger K, so the block never grows with the grid.
+DENSITY_BLOCK_CELLS = 1 << 17
 
 
 def nyquist_minimum(cutoff: int) -> int:
@@ -145,12 +149,34 @@ class JointPhaseDensity:
         return float(self.values.sum()) * self.spacing**2
 
 
-def _sector_profile(amps: np.ndarray, grid_size: int) -> np.ndarray:
-    """|sum_m a_m e^{-i m phi}|^2 on the canonical grid, via FFT."""
-    m = np.arange(len(amps))
-    signed = amps * np.where(m % 2 == 0, 1.0, -1.0)
-    z = np.fft.fft(signed, n=grid_size)
-    return np.abs(z) ** 2
+def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np.ndarray:
+    """sum_s |sum_m a_{s,m} e^{-i m phi}|^2 on the canonical grid, via FFT.
+
+    Sector s holds ``amps[starts[s]:starts[s + 1]]``, m counted from 0. The
+    sectors are transformed a block of rows at a time, one FFT per block,
+    and their profiles added one by one in sector order, so the sum has the
+    bits of a loop that transforms and adds each sector on its own.
+    """
+    k = grid_size
+    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    rows = max(1, min(len(bounds), DENSITY_BLOCK_CELLS // k))
+    require_array_bytes(16 * rows * k, f"grid size K={k}: the transform of {rows} sector(s)")
+    pad = np.empty((rows, int(np.diff(starts).max())), dtype=np.complex128)
+    power = np.empty((rows, k))
+    acc = np.zeros(k)
+    for first in range(0, len(bounds), rows):
+        block = bounds[first : first + rows]
+        r = len(block)
+        pad[:r] = 0.0
+        for row, (lo, hi) in zip(pad, block):
+            row[: hi - lo] = amps[lo:hi]
+        odd = pad[:r, 1::2]
+        np.negative(odd, out=odd)  # (-1)^m moves the grid origin from 0 to -pi
+        np.abs(np.fft.fft(pad[:r], n=k, axis=1), out=power[:r])
+        power[:r] **= 2
+        for row in power[:r]:
+            acc += row  # not power.sum(axis=0): that would reorder the sum
+    return acc
 
 
 def relative_phase_density(state: State, grid_size: int | None = None) -> PhaseDensity:
@@ -162,10 +188,7 @@ def relative_phase_density(state: State, grid_size: int | None = None) -> PhaseD
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
     view = state.sector_view
-    acc = np.zeros(k)
-    for lo, hi in zip(view.starts[:-1].tolist(), view.starts[1:].tolist()):
-        acc += _sector_profile(view.amps[lo:hi], k)
-    return PhaseDensity(phase_grid(k), acc / TWO_PI)
+    return PhaseDensity(phase_grid(k), _summed_profiles(view.amps, view.starts, k) / TWO_PI)
 
 
 def joint_local_phase_density(
@@ -179,6 +202,7 @@ def joint_local_phase_density(
         raise ValueError("joint local phase density is defined for pure grid states")
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
+    require_array_bytes(16 * k * k, f"grid size K={k}: the K x K joint phase density")
     m = np.arange(cutoff + 1)
     sign = np.where(m % 2 == 0, 1.0, -1.0)
     signed = state.coeffs * sign[:, None] * sign[None, :]
@@ -284,8 +308,8 @@ def _sample_pure(state: PureTwoModeState, grid_size, seed, start_shot, shots):
     return phi1, phi2
 
 
-def _sample_sector(sector: SectorState, u_delta, u_sum, grid_size):
-    """Sample a fixed-total sector state.
+def _sample_sector(amps: np.ndarray, u_delta, u_sum, grid_size):
+    """Sample the sector state with amplitudes ``amps[m]`` on |m>|N - m>.
 
     Within a sector the joint density depends on the angles only through
     their difference, p(phi1, phi2) = q(phi1 - phi2) / 2pi with q the
@@ -294,11 +318,11 @@ def _sample_sector(sector: SectorState, u_delta, u_sum, grid_size):
     exactly the sector's joint law.
     """
     k = (
-        default_grid_size(sector.total, floor=MIN_SAMPLING_GRID)
+        default_grid_size(len(amps) - 1, floor=MIN_SAMPLING_GRID)
         if grid_size is None
         else grid_size
     )
-    profile = _sector_profile(sector.amps, k)
+    profile = _summed_profiles(amps, np.array([0, len(amps)]), k)
     masses = profile / profile.sum()
     phis = phase_grid(k)
     idx, frac = _invert_cells(_padded_cdf(masses), u_delta)
@@ -338,8 +362,8 @@ def sample_local_phases(
         phi1 = np.empty(shots)
         phi2 = np.empty(shots)
         for s, group in _groups(sector_idx):
-            sector = state.sectors[s][2]
-            phi1[group], phi2[group] = _sample_sector(sector, u[group, 1], u[group, 2], grid_size)
+            amps = state.amps[state.starts[s] : state.starts[s + 1]]
+            phi1[group], phi2[group] = _sample_sector(amps, u[group, 1], u[group, 2], grid_size)
     return (
         SampleSet(phi1, shots, seed, start_shot),
         SampleSet(phi2, shots, seed, start_shot),

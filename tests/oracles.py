@@ -125,6 +125,18 @@ def oracle_relative_density(state, phi: float) -> float:
     return acc / TWO_PI
 
 
+def oracle_density_loop(state, grid_size: int) -> np.ndarray:
+    """Relative-density values as the per-sector loop made them: one FFT per sector of the view."""
+    view = state.sector_view
+    acc = np.zeros(grid_size)
+    for lo, hi in zip(view.starts[:-1].tolist(), view.starts[1:].tolist()):
+        amps = view.amps[lo:hi]
+        m = np.arange(len(amps))
+        signed = amps * np.where(m % 2 == 0, 1.0, -1.0)
+        acc += np.abs(np.fft.fft(signed, n=grid_size)) ** 2
+    return acc / TWO_PI
+
+
 def oracle_joint_density(state: PureTwoModeState, phi1: float, phi2: float) -> float:
     """Direct evaluation of the joint local-phase density at one angle pair."""
     k = state.cutoff + 1
@@ -192,3 +204,8 @@ def oracle_samples_csv(samples1, samples2) -> str:
     return "shot_index,phi1,phi2\n" + "".join(
         f"{start + i},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)
     )
+
+
+def csv_row(report) -> list[str]:
+    """A report's fields as CSV cells in REPORT_FIELDS order, each the repr of a float."""
+    return [repr(float(x)) for x in report.to_json_dict().values()]

@@ -145,6 +145,12 @@ class TestEval:
         assert code == 3
         assert "truncation" in err
 
+    def test_squeezed_grid_over_the_array_limit_exits_three(self, capsys, refuse_large_arrays):
+        code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 5}')
+        assert code == 3
+        assert "at cutoff " in err and " x " in err and " bytes, over the " in err
+        assert out == ""
+
     def test_squeezing_beyond_double_precision_exits_three(self, capsys):
         code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 20}')
         assert code == 3
@@ -410,6 +416,16 @@ class TestSample:
         )
         assert code == 2
         assert err == "error: --shots must be >= 2\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_joint_density_over_the_array_limit_exits_three(self, capsys, tmp_path,
+                                                           refuse_large_arrays):
+        code, out, err = run(
+            capsys, "sample", "--state", NP3, "--grid", "1000000", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 3
+        assert "K=1000000" in err and "needs 16,000,000,000,000 bytes" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

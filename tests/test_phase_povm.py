@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from npsteer import (
     JointPhaseDensity,
+    NumberDistribution,
     PhaseDensity,
+    PureTwoModeState,
     SampleSet,
     default_grid_size,
     estimate_relative_dispersion,
     exp_phase_relative,
     joint_local_phase_density,
     linear_phase_variance,
+    mixture_from_sector_amplitudes,
     mixture_over_sectors,
     number_phase_state,
     nyquist_minimum,
@@ -26,6 +29,7 @@ from npsteer import (
     sample_local_phases,
     split_fock_state,
     thermal_distribution,
+    TruncationError,
     two_mode_squeezed_state,
     wrap_angle,
     write_density_csv,
@@ -35,11 +39,13 @@ from npsteer import (
 from npsteer import phase_povm
 from oracles import (
     oracle_bootstrap_std,
+    oracle_density_loop,
     oracle_joint_density,
     oracle_relative_density,
     oracle_samples_csv,
     rand_mixture,
     rand_pure,
+    rand_single,
 )
 
 
@@ -149,6 +155,42 @@ class TestPhaseDensity:
         np.testing.assert_allclose(a.values, b.values, atol=1e-13)
 
 
+class TestBlockedDensity:
+    """The blocked FFT sum against the per-sector loop it replaced: equal bits."""
+
+    K = phase_povm.DENSITY_BLOCK_CELLS // 32  # blocks of 32 sectors
+
+    @pytest.mark.parametrize("sectors", [1, 31, 32, 33, 65])
+    def test_mixture_matches_the_loop(self, rng, sectors):
+        mix = rand_mixture(rng, max_total=300, n_sectors=sectors)  # ragged rows
+        assert len(mix.sector_view.totals) == sectors
+        got = relative_phase_density(mix, self.K).values
+        np.testing.assert_array_equal(got, oracle_density_loop(mix, self.K))
+
+    @pytest.mark.parametrize("grid_size", [None, K])
+    def test_grid_state_with_empty_anti_diagonals_matches_the_loop(self, rng, grid_size):
+        c = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        total = np.add.outer(np.arange(40), np.arange(40))
+        c[(total % 3 == 1) | ((total > 20) & (total < 30))] = 0.0
+        state = PureTwoModeState.normalized(c)
+        # of the 79 anti-diagonals, 26 (total % 3 == 1) + 9 (21..29) - 3 (both) are empty
+        assert len(state.sector_view.totals) == 79 - 26 - 9 + 3
+        density = relative_phase_density(state, grid_size)
+        np.testing.assert_array_equal(density.values, oracle_density_loop(state, density.grid_size))
+
+    def test_grid_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays):
+        with pytest.raises(TruncationError, match=r"K=134217728: .* needs 2,147,483,648 bytes"):
+            relative_phase_density(number_phase_state(3, 0.0), grid_size=1 << 27)
+
+    def test_zero_weight_sector_is_left_out(self, rng):
+        dist = NumberDistribution.from_probs({2: 0.5, 5: 0.0, 9: 0.5})
+        amps = {n: rand_single(rng, n + 1) for n in (2, 5, 9)}
+        mix = mixture_from_sector_amplitudes(dist, lambda n: amps[n])
+        np.testing.assert_array_equal(mix.sector_view.totals, [2, 9])
+        density = relative_phase_density(mix)
+        np.testing.assert_array_equal(density.values, oracle_density_loop(mix, density.grid_size))
+
+
 class TestJointDensity:
     def test_requires_pure_state(self, rng):
         mix = rand_mixture(rng, max_total=4, n_sectors=2)
@@ -195,6 +237,11 @@ class TestJointDensity:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * k * k * 8
+
+
+    def test_grid_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays):
+        with pytest.raises(TruncationError, match="K=1000000.* needs 16,000,000,000,000 bytes"):
+            joint_local_phase_density(number_phase_state(3, 0.0), grid_size=1_000_000)
 
 
 class TestLinearPhaseVariance:
