@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .criteria import CriterionVerdict, all_verdicts, boundary_curves, sampled_np_verdicts
-from .fock import TruncationError
+from .fock import ArraySizeError, TruncationError
 from .observables import ObservableReport, number_moments, observable_report
 from .phase_povm import (
     estimate_relative_dispersion,
@@ -387,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except StateSpecError as exc:
         print(f"error: bad state spec: {exc}", file=sys.stderr)
         return 2
+    except ArraySizeError as exc:
+        print(f"error: array too large: {exc}", file=sys.stderr)
+        return 3
     except TruncationError as exc:
         print(f"error: truncation unattainable: {exc}", file=sys.stderr)
         return 3

@@ -39,10 +39,14 @@ class TruncationError(Exception):
         self.required_cutoff = required_cutoff
 
 
+class ArraySizeError(TruncationError):
+    """One array would exceed MAX_ARRAY_BYTES; raised before it is allocated."""
+
+
 def require_array_bytes(nbytes: int, what: str) -> None:
-    """Raise TruncationError, naming ``what`` and ``nbytes``, if one array would exceed MAX_ARRAY_BYTES."""
+    """Raise ArraySizeError, naming ``what`` and ``nbytes``, if they exceed MAX_ARRAY_BYTES."""
     if nbytes > MAX_ARRAY_BYTES:
-        raise TruncationError(
+        raise ArraySizeError(
             f"{what} needs {nbytes:,} bytes, over the {MAX_ARRAY_BYTES:,}-byte limit on one array"
         )
 
@@ -190,9 +194,49 @@ class PureTwoModeState:
         return np.bincount(view.totals, masses, 2 * self.cutoff + 1)
 
 
-def _number_phase_amps(n: int, phi: float) -> np.ndarray:
-    m = np.arange(n + 1)
-    return np.exp(1j * phi * m) / math.sqrt(n + 1)
+def _sector_starts(totals: np.ndarray) -> np.ndarray:
+    """Offsets of the sectors N in ``totals`` laid out flat, N + 1 entries each."""
+    return np.concatenate(([0], np.cumsum(totals + 1)))
+
+
+def _joined(table: np.ndarray, totals: np.ndarray, out=None) -> np.ndarray:
+    """``table[:N + 1]`` for each sector N in ``totals``, concatenated: table[m] at each."""
+    return np.concatenate([table[: n + 1] for n in totals.tolist()], out=out)
+
+
+def _joined_reversed(table: np.ndarray, totals: np.ndarray, out=None) -> np.ndarray:
+    """``table[N::-1]`` for each sector N in ``totals``, concatenated: table[N - m] at each."""
+    return np.concatenate([table[n::-1] for n in totals.tolist()], out=out)
+
+
+def _sector_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of each sector's slice of ``values``, pairwise as np.sum adds one sector alone."""
+    bounds = zip(starts[:-1].tolist(), starts[1:].tolist())
+    return np.fromiter((np.add.reduce(values[lo:hi]) for lo, hi in bounds), float, len(starts) - 1)
+
+
+def _phase_table(phi: float, n_max: int) -> np.ndarray:
+    """e^{i phi m} for m = 0..n_max; every phase factor of a build is read from this table."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.exp(1j * phi * np.arange(n_max + 1))
+    if not np.isfinite(table).all():
+        raise ValueError(
+            f"phi = {phi!r} makes the phase factor e^(i phi m) non-finite for m <= {n_max}"
+        )
+    return table
+
+
+# The flat kernels below take increasing sector totals and return the amplitudes of every
+# sector, m = 0..N each, concatenated. Each factor that depends on m or N - m alone is formed
+# once, on a table over 0..max N, and joined per sector; the kernels then work in place. On a
+# flat build every temporary is as large as the mixture, and each fresh one costs page faults.
+
+
+def _number_phase_amps(totals: np.ndarray, phi: float) -> np.ndarray:
+    """Amplitudes e^{i phi m} / sqrt(N + 1) of the sectors N in ``totals``."""
+    amps = _joined(_phase_table(phi, int(totals[-1])), totals)
+    amps /= np.repeat(np.sqrt(totals + 1.0), totals + 1)
+    return amps
 
 
 _log_factorial = np.zeros(1)  # ln k! for k = 0, 1, ...; grown on demand, never changed
@@ -203,34 +247,60 @@ def _log_factorials(n: int) -> np.ndarray:
     global _log_factorial
     have = len(_log_factorial)
     if have <= n:
-        more = np.array([math.lgamma(k + 1.0) for k in range(have, n + 1)])
+        more = np.fromiter((math.lgamma(k + 1.0) for k in range(have, n + 1)), float, n + 1 - have)
         _log_factorial = np.concatenate((_log_factorial, more))
     return _log_factorial
 
 
-def _split_fock_amps(n: int, phi: float, transmissivity: float) -> np.ndarray:
+def _split_fock_amps(totals: np.ndarray, phi: float, transmissivity: float) -> np.ndarray:
+    """Amplitudes sqrt(binom(N, m) t^m (1-t)^(N-m)) e^{i phi m} of the sectors N in ``totals``.
+
+    Sectors up to N = 300 take exact binomials, larger ones log-factorials.
+    """
     t = transmissivity
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {t!r}")
-    m = np.arange(n + 1)
-    if n <= _EXACT_BINOM_LIMIT:
-        binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    n_max = int(totals[-1])
+    counts = totals + 1
+    levels = np.arange(n_max + 1, dtype=float)
+    weights = np.empty(int(counts.sum()))
+    exact = int(np.searchsorted(totals, _EXACT_BINOM_LIMIT, side="right"))
+    cut = int(counts[:exact].sum())  # entries [:cut] belong to the exact sectors
+    if exact:
+        small = totals[:exact]
+        binom = np.array([math.comb(N, j) for N in small.tolist() for j in range(N + 1)], float)
         with np.errstate(divide="ignore"):
             # 0**0 = 1 handled explicitly so t in {0, 1} stays valid
-            tm = np.where(m == 0, 1.0, t ** m.astype(float))
-            sm = np.where(n - m == 0, 1.0, (1.0 - t) ** (n - m).astype(float))
-        weights = binom * tm * sm
-    else:
-        log_fact = _log_factorials(n)
-        log_binom = log_fact[n] - log_fact[m] - log_fact[n - m]
+            t_pow = np.where(levels == 0, 1.0, t**levels)
+            s_pow = np.where(levels == 0, 1.0, (1.0 - t) ** levels)
+        binom *= _joined(t_pow, small)
+        np.multiply(binom, _joined_reversed(s_pow, small), out=weights[:cut])
+    if cut < len(weights):
+        large, logw = totals[exact:], weights[cut:]
         if t in (0.0, 1.0):
-            weights = np.zeros(n + 1)
-            weights[n if t == 1.0 else 0] = 1.0
+            logw[:] = (_joined_reversed if t == 1.0 else _joined)(levels, large) == 0
         else:
-            logw = log_binom + m * math.log(t) + (n - m) * math.log1p(-t)
-            weights = np.exp(logw)
-    weights = weights / weights.sum()
-    return np.sqrt(weights) * np.exp(1j * phi * m)
+            # ln binom(N, m) + m ln t + (N - m) ln(1 - t), added in that order
+            log_fact = _log_factorials(n_max)
+            term = _joined(log_fact, large)
+            np.subtract(np.repeat(log_fact[large], counts[exact:]), term, out=logw)
+            logw -= _joined_reversed(log_fact, large, out=term)
+            logw += _joined(levels * math.log(t), large, out=term)
+            logw += _joined_reversed(levels * math.log1p(-t), large, out=term)
+            np.exp(logw, out=logw)
+    weights /= np.repeat(_sector_sums(weights, _sector_starts(totals)), counts)
+    np.sqrt(weights, out=weights)
+    amps = _joined(_phase_table(phi, n_max), totals)
+    return np.multiply(weights, amps, out=amps)
+
+
+def _fixed_total_state(n: int, amps_kernel: Callable[[np.ndarray], np.ndarray]) -> PureTwoModeState:
+    """The one-sector state of total ``n`` whose amplitudes ``amps_kernel`` builds."""
+    if n < 0 or n != int(n):
+        raise ValueError(f"total number must be a non-negative integer, got {n!r}")
+    n = int(n)
+    require_array_bytes(16 * (n + 1), f"n={n}: a sector of {n + 1:,} amplitudes")
+    return PureTwoModeState.from_sector(n, amps_kernel(np.array([n])))
 
 
 def number_phase_state(n: int, phi: float) -> PureTwoModeState:
@@ -238,9 +308,7 @@ def number_phase_state(n: int, phi: float) -> PureTwoModeState:
 
     Amplitudes e^{i m phi} / sqrt(N + 1) on |m>|N - m>, cutoff N.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"total number must be a non-negative integer, got {n!r}")
-    return PureTwoModeState.from_sector(int(n), _number_phase_amps(int(n), float(phi)))
+    return _fixed_total_state(n, lambda totals: _number_phase_amps(totals, float(phi)))
 
 
 def split_fock_state(n: int, phi: float, transmissivity: float = 0.5) -> PureTwoModeState:
@@ -248,10 +316,8 @@ def split_fock_state(n: int, phi: float, transmissivity: float = 0.5) -> PureTwo
 
     Amplitudes sqrt(binom(N, m) t^m (1-t)^(N-m)) e^{i m phi} on |m>|N - m>.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"total number must be a non-negative integer, got {n!r}")
-    return PureTwoModeState.from_sector(
-        int(n), _split_fock_amps(int(n), float(phi), float(transmissivity))
+    return _fixed_total_state(
+        n, lambda totals: _split_fock_amps(totals, float(phi), float(transmissivity))
     )
 
 
@@ -444,6 +510,9 @@ def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     if tail_tol <= 0:
         raise ValueError("tail tolerance must be positive")
     horizon = int(math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0))
+    require_array_bytes(
+        8 * (horizon + 1), f"poissonian noise mean={mean!r}: the masses for N = 0..{horizon}"
+    )
     mode = min(int(mean), horizon)
     raw = np.zeros(horizon + 1)
     raw[mode] = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
@@ -466,6 +535,9 @@ def thermal_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Num
     log_q = math.log(q)
     while horizon * horizon * math.exp((horizon + 1) * log_q) / (1.0 - q) >= tail_tol * 1e-3:
         horizon *= 2
+    require_array_bytes(
+        8 * (horizon + 1), f"thermal noise mean={mean!r}: the masses for N = 0..{horizon}"
+    )
     n = np.arange(horizon + 1)
     raw = np.exp(n * log_q) * (1.0 - q)
     return _distribution_from_raw(n, raw, tail_tol)
@@ -488,8 +560,18 @@ def gaussian_distribution(
     half_width = std * (math.sqrt(2.0 * math.log(1.0 / min(tail_tol, 0.1))) + 6.0) + 4.0
     lo = max(0, int(math.floor(mean - half_width)))
     hi = int(math.ceil(mean + half_width))
+    require_array_bytes(
+        8 * (hi - lo + 1),
+        f"gaussian noise mean={mean!r}, std={std!r}: the masses for N = {lo}..{hi}",
+    )
     n = np.arange(lo, hi + 1)
-    raw = np.exp(-((n - mean) ** 2) / (2.0 * std * std))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw = np.exp(-((n - mean) ** 2) / (2.0 * std * std))
+    if not raw.sum() > 0.0:  # NaN-safe: 2 std**2 underflows to 0, or every mass to 0
+        raise ValueError(
+            f"std = {std!r} is too small: the gaussian kernel about mean {mean!r} "
+            "has no finite positive mass on the integers"
+        )
     return _distribution_from_raw(
         n, raw, tail_tol, extra_meta={"regime_violation": bool(10.0 * std > mean)}
     )
@@ -566,7 +648,8 @@ class SectorMixture:
         if len(wrong):
             n = int(totals[wrong[0]])
             raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {int(counts[wrong[0]])}")
-        norms = np.add.reduceat(np.abs(amps) ** 2, starts[:-1])
+        mass = np.abs(amps)
+        norms = np.add.reduceat(np.square(mass, out=mass), starts[:-1])
         off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
         if len(off):
             raise ValueError(f"sector state norm**2 = {float(norms[off[0]])!r} deviates from 1")
@@ -604,24 +687,35 @@ class SectorMixture:
 
 
 def mixture_from_sector_amplitudes(
-    dist: NumberDistribution, amps_builder: Callable[[int], np.ndarray]
+    dist: NumberDistribution, amps_builder: Callable[[np.ndarray], np.ndarray]
 ) -> SectorMixture:
-    """Mix the sector states ``amps_builder(N)`` with weights from ``dist``.
+    """Mix the sector states ``amps_builder`` returns with weights from ``dist``.
 
-    ``amps_builder(N)`` returns the N + 1 amplitudes on |m>|N - m>, which
-    are normalized here and written into one flat array.
+    ``amps_builder(totals)`` gets the support of ``dist`` (increasing) and
+    returns, concatenated, the N + 1 amplitudes on |m>|N - m> of each sector
+    N in it. Each sector is normalized here, with the arithmetic of np.sum on
+    that sector alone. The returned array becomes the mixture's storage and
+    is normalized in place (a read-only one is copied first), so a builder
+    returns a new array.
     """
     totals = dist.support()
-    starts = np.concatenate(([0], np.cumsum(totals + 1)))
+    starts = _sector_starts(totals)
+    # the stored amplitudes, and the largest temporary of the build, take 16 bytes per entry
     require_array_bytes(
         16 * int(starts[-1]), f"a mixture of {len(totals)} sectors up to N = {int(totals[-1])}"
     )
-    amps = np.empty(starts[-1], dtype=np.complex128)
-    for n, lo, hi in zip(totals.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
-        a = np.asarray(amps_builder(n), dtype=np.complex128)
-        if a.shape != (n + 1,):
-            raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
-        np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
+    amps = np.asarray(amps_builder(totals), dtype=np.complex128)
+    if amps.shape != (starts[-1],):
+        raise ValueError(
+            f"sectors {int(totals[0])}..{int(totals[-1])} need {int(starts[-1])} amplitudes "
+            f"in all, got {amps.shape}"
+        )
+    if not amps.flags.writeable:
+        amps = amps.copy()
+    mass = np.abs(amps)
+    roots = np.sqrt(_sector_sums(np.square(mass, out=mass), starts))
+    del mass
+    amps /= np.repeat(roots, totals + 1)
     return SectorMixture._flat(totals, dist.masses(), starts, amps)
 
 
@@ -645,7 +739,9 @@ def mixture_over_sectors(
             )
         return amps
 
-    return mixture_from_sector_amplitudes(dist, sector_amps)
+    return mixture_from_sector_amplitudes(
+        dist, lambda totals: np.concatenate([sector_amps(n) for n in totals.tolist()])
+    )
 
 
 State = PureTwoModeState | SectorMixture

@@ -188,7 +188,8 @@ def relative_phase_density(state: State, grid_size: int | None = None) -> PhaseD
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
     view = state.sector_view
-    return PhaseDensity(phase_grid(k), _summed_profiles(view.amps, view.starts, k) / TWO_PI)
+    values = _summed_profiles(view.amps, view.starts, k) / TWO_PI  # sized before the grid
+    return PhaseDensity(phase_grid(k), values)
 
 
 def joint_local_phase_density(

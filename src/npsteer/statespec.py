@@ -200,11 +200,11 @@ class StateSpec:
         phi = p.get("phi", 0.0)
         if p["base"] == "number_phase":
             return mixture_from_sector_amplitudes(
-                dist, lambda n: fock._number_phase_amps(n, phi)
+                dist, lambda totals: fock._number_phase_amps(totals, phi)
             )
         t = p.get("transmissivity", 0.5)
         return mixture_from_sector_amplitudes(
-            dist, lambda n: fock._split_fock_amps(n, phi, t)
+            dist, lambda totals: fock._split_fock_amps(totals, phi, t)
         )
 
 

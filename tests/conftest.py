@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,11 +21,18 @@ def rng() -> np.random.Generator:
 LARGE_ARRAY_ELEMENTS = 1 << 24
 
 
+def _arange_length(start, stop=None, step=None, *args, **kwargs):
+    """Number of elements np.arange would make for these arguments."""
+    if stop is None:
+        start, stop = 0, start
+    return max(0, math.ceil((stop - start) / (1 if step is None else step)))
+
+
 @pytest.fixture
 def refuse_large_arrays(monkeypatch):
-    """Fail the test at any np.zeros, np.empty or np.fft.fft2 call for more than
-    LARGE_ARRAY_ELEMENTS elements, before it allocates: the allocation guards
-    must fire first, and a missing guard must not start a huge allocation."""
+    """Fail the test at any np.zeros, np.empty, np.arange or np.fft.fft2 call for
+    more than LARGE_ARRAY_ELEMENTS elements, before it allocates: the allocation
+    guards must fire first, and a missing guard must not start a huge allocation."""
 
     def refusing(fn, shape_of):
         def checked(*args, **kwargs):
@@ -35,6 +44,7 @@ def refuse_large_arrays(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", refusing(np.zeros, lambda shape, *a, **k: shape))
     monkeypatch.setattr(np, "empty", refusing(np.empty, lambda shape, *a, **k: shape))
+    monkeypatch.setattr(np, "arange", refusing(np.arange, _arange_length))
     monkeypatch.setattr(
         np.fft, "fft2", refusing(np.fft.fft2, lambda a, s=None, *r, **k: np.shape(a) if s is None else s)
     )

@@ -173,7 +173,55 @@ def rand_mixture(rng: np.random.Generator, max_total: int, n_sectors: int) -> Se
         {int(n): float(w) for n, w in zip(totals, weights)}
     )
     amps = {int(n): rand_single(rng, int(n) + 1) for n in totals}
-    return mixture_from_sector_amplitudes(dist, lambda n: amps[n])
+    return mixture_from_sector_amplitudes(dist, joined(lambda n: amps[n]))
+
+
+def joined(sector_amps):
+    """A flat builder from a per-sector one: ``sector_amps(N)`` for each N, concatenated."""
+    return lambda totals: np.concatenate([sector_amps(n) for n in totals.tolist()])
+
+
+def oracle_number_phase_amps(n: int, phi: float) -> np.ndarray:
+    """One sector's number-phase amplitudes, as the per-sector builder formed them."""
+    m = np.arange(n + 1)
+    return np.exp(1j * phi * m) / math.sqrt(n + 1)
+
+
+def oracle_split_fock_amps(n: int, phi: float, transmissivity: float) -> np.ndarray:
+    """One sector's split-Fock amplitudes, as the per-sector builder formed them."""
+    t = transmissivity
+    m = np.arange(n + 1)
+    if n <= 300:
+        binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+        with np.errstate(divide="ignore"):
+            tm = np.where(m == 0, 1.0, t ** m.astype(float))
+            sm = np.where(n - m == 0, 1.0, (1.0 - t) ** (n - m).astype(float))
+        weights = binom * tm * sm
+    else:
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        log_binom = log_fact[n] - log_fact[m] - log_fact[n - m]
+        if t in (0.0, 1.0):
+            weights = np.zeros(n + 1)
+            weights[n if t == 1.0 else 0] = 1.0
+        else:
+            logw = log_binom + m * math.log(t) + (n - m) * math.log1p(-t)
+            weights = np.exp(logw)
+    weights = weights / weights.sum()
+    return np.sqrt(weights) * np.exp(1j * phi * m)
+
+
+def oracle_mixture(dist: NumberDistribution, sector_amps) -> SectorMixture:
+    """The mixture as the per-sector constructor built it: one ``sector_amps(N)`` call and one
+    normalization per sector, written into a preallocated flat array."""
+    totals = dist.support()
+    starts = np.concatenate(([0], np.cumsum(totals + 1)))
+    amps = np.empty(starts[-1], dtype=np.complex128)
+    for n, lo, hi in zip(totals.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
+        a = np.asarray(sector_amps(n), dtype=np.complex128)
+        if a.shape != (n + 1,):
+            raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
+        np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
+    return SectorMixture._flat(totals, dist.masses(), starts, amps)
 
 
 def oracle_bootstrap_std(samples1, samples2, resamples: int, seed: int | None = None) -> float:

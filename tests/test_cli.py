@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import threading
+import warnings
 
 import pytest
 
@@ -149,6 +150,54 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 5}')
         assert code == 3
         assert "at cutoff " in err and " x " in err and " bytes, over the " in err
+        assert out == ""
+
+    @pytest.mark.parametrize("spec,key", [
+        ('{"family": "number_phase", "n": 1000000000}', "n=1000000000"),
+        ('{"family": "split_fock", "n": 1000000000}', "n=1000000000"),
+        ('{"family": "mixture", "base": "number_phase", '
+         '"noise": {"kind": "thermal", "mean": 1e12}}', "thermal noise mean=1000000000000.0"),
+        ('{"family": "mixture", "base": "number_phase", '
+         '"noise": {"kind": "poissonian", "mean": 1e12}}', "poissonian noise mean=1000000000000.0"),
+        ('{"family": "mixture", "base": "split_fock", '
+         '"noise": {"kind": "gaussian", "mean": 1e9, "std": 1e8}}',
+         "gaussian noise mean=1000000000.0, std=100000000.0"),
+    ], ids=["number_phase", "split_fock", "thermal", "poissonian", "gaussian"])
+    def test_build_over_the_array_limit_exits_three(self, capsys, refuse_large_arrays, spec, key):
+        code, out, err = run(capsys, "eval", "--state", spec)
+        assert code == 3
+        assert err.startswith(f"error: array too large: {key}")
+        assert " bytes, over the 1,073,741,824-byte limit on one array" in err
+        assert out == ""
+
+    def test_density_grid_over_the_array_limit_exits_three(self, capsys, refuse_large_arrays):
+        code, out, err = run(capsys, "eval", "--state", NP3, "--grid", "2147483648")
+        assert code == 3
+        assert err.startswith("error: array too large: grid size K=2147483648: ")
+        assert "needs 34,359,738,368 bytes" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("spec", [
+        '{"family": "number_phase", "n": 2, "phi": 1e308}',
+        '{"family": "mixture", "base": "split_fock", "phi": 1e308, '
+        '"noise": {"kind": "gaussian", "mean": 400.0, "std": 10.0}}',
+    ])
+    def test_non_finite_phase_factor_exits_two_naming_phi(self, capsys, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--state", spec)
+        assert code == 2
+        assert err.startswith("error: phi = 1e+308 makes the phase factor e^(i phi m) non-finite")
+        assert out == ""
+
+    def test_gaussian_without_mass_exits_two_naming_std(self, capsys):
+        spec = ('{"family": "mixture", "base": "number_phase", '
+                '"noise": {"kind": "gaussian", "mean": 400.0, "std": 1e-300}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--state", spec)
+        assert code == 2
+        assert err.startswith("error: std = 1e-300 is too small")
         assert out == ""
 
     def test_squeezing_beyond_double_precision_exits_three(self, capsys):
@@ -428,6 +477,14 @@ class TestSample:
         assert "K=1000000" in err and "needs 16,000,000,000,000 bytes" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_array_refusal_has_its_own_prefix(self, capsys, tmp_path, refuse_large_arrays):
+        code, out, err = run(
+            capsys, "sample", "--state", NP3, "--grid", "1000000", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 3
+        assert err.startswith("error: array too large: grid size K=1000000: ")
+        assert "truncation" not in err
 
     def test_failed_run_leaves_no_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import npsteer
 from npsteer import fock
 from npsteer import (
+    ArraySizeError,
     NumberDistribution,
     PureTwoModeState,
     SectorMixture,
@@ -33,7 +34,13 @@ from npsteer import (
     two_mode_squeezed_state,
 )
 
-from oracles import rand_single
+from oracles import (
+    joined,
+    oracle_mixture,
+    oracle_number_phase_amps,
+    oracle_split_fock_amps,
+    rand_single,
+)
 
 
 class TestPureTwoModeState:
@@ -334,7 +341,7 @@ class TestSectorMixtures:
         dist = thermal_distribution(1.0)
         slow = mixture_over_sectors(dist, lambda n: split_fock_state(n, 0.2, 0.5))
         fast = mixture_from_sector_amplitudes(
-            dist, lambda n: split_fock_state(n, 0.2, 0.5).sector_amplitudes(n)
+            dist, joined(lambda n: split_fock_state(n, 0.2, 0.5).sector_amplitudes(n))
         )
         for (na, wa, sa), (nb, wb, sb) in zip(slow.iter_sectors(), fast.iter_sectors()):
             assert na == nb
@@ -362,7 +369,7 @@ class TestSectorMixtures:
     def test_flat_and_triple_built_mixtures_are_equal(self, rng):
         dist = poissonian_distribution(4.0)
         raw = {int(n): 3.0 * rand_single(rng, int(n) + 1) for n in dist.support()}
-        flat = mixture_from_sector_amplitudes(dist, lambda n: raw[n])
+        flat = mixture_from_sector_amplitudes(dist, joined(lambda n: raw[n]))
         triples = SectorMixture(
             (n, w, SectorState(n, raw[n] / math.sqrt(float(np.sum(np.abs(raw[n]) ** 2)))))
             for n, w in zip(dist.support().tolist(), dist.masses().tolist())
@@ -380,7 +387,9 @@ class TestSectorMixtures:
             np.testing.assert_array_equal(sa.amps, sb.amps)
 
     def test_sector_triples_are_built_only_when_read(self):
-        mix = mixture_from_sector_amplitudes(poissonian_distribution(3.0), lambda n: np.ones(n + 1))
+        mix = mixture_from_sector_amplitudes(
+            poissonian_distribution(3.0), joined(lambda n: np.ones(n + 1))
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the top sector has mass on the cutoff edge
             observable_report(mix)
@@ -416,17 +425,27 @@ class TestSectorMixtures:
                 SectorMixture(triples)
 
     @pytest.mark.parametrize("match,builder", [
-        ("sector 2 needs 3 amplitudes", lambda n: np.ones(n)),
-        ("norm", lambda n: np.zeros(n + 1)),
+        ("sectors 2..2 need 3 amplitudes", joined(lambda n: np.ones(n))),
+        ("norm", joined(lambda n: np.zeros(n + 1))),
     ])
     def test_flat_builder_checks(self, match, builder):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
             mixture_from_sector_amplitudes(NumberDistribution.point(2), builder)
 
+    def test_builder_output_is_normalized_in_place_unless_read_only(self):
+        fresh = np.full(3, 2.0 + 0j)
+        mix = mixture_from_sector_amplitudes(NumberDistribution.point(2), lambda totals: fresh)
+        assert mix.amps is fresh
+        frozen = np.full(3, 2.0 + 0j)
+        frozen.flags.writeable = False
+        mix = mixture_from_sector_amplitudes(NumberDistribution.point(2), lambda totals: frozen)
+        np.testing.assert_array_equal(frozen, 2.0)
+        np.testing.assert_allclose(mix.amps, 1.0 / math.sqrt(3.0), rtol=1e-15)
+
     def test_mixture_over_the_array_limit_raises_before_building(self, refuse_large_arrays):
         dist = gaussian_distribution(1e9, 1.0)
         with pytest.raises(TruncationError, match=r"mixture of \d+ sectors up to N = \d+ needs"):
-            mixture_from_sector_amplitudes(dist, lambda n: pytest.fail("a sector was built"))
+            mixture_from_sector_amplitudes(dist, lambda totals: pytest.fail("a sector was built"))
 
     def test_array_limit_is_inclusive(self):
         fock.require_array_bytes(fock.MAX_ARRAY_BYTES, "an array")
@@ -439,6 +458,106 @@ class TestSectorMixtures:
         again = mix.distribution()
         assert again.mean == pytest.approx(dist.mean, abs=1e-12)
         assert again.variance == pytest.approx(dist.variance, abs=1e-12)
+
+
+def assert_flat_build_matches_oracle(dist, phi, t):
+    """Kernels, mixtures and fixed-total states equal the per-sector build exactly."""
+    totals = dist.support()
+    for kernel, oracle in (
+        (lambda tot: fock._number_phase_amps(tot, phi), lambda n: oracle_number_phase_amps(n, phi)),
+        (lambda tot: fock._split_fock_amps(tot, phi, t), lambda n: oracle_split_fock_amps(n, phi, t)),
+    ):
+        assert np.array_equal(kernel(totals), np.concatenate([oracle(n) for n in totals.tolist()]))
+        flat, loop = mixture_from_sector_amplitudes(dist, kernel), oracle_mixture(dist, oracle)
+        for a, b in (
+            (flat.amps, loop.amps),
+            (flat.starts, loop.starts),
+            (flat.totals(), loop.totals()),
+            (flat.weights(), loop.weights()),
+            *zip(flat.sector_view, loop.sector_view),
+        ):
+            assert np.array_equal(a, b)
+    n = int(totals[-1])
+    for state, amps in (
+        (number_phase_state(n, phi), oracle_number_phase_amps(n, phi)),
+        (split_fock_state(n, phi, t), oracle_split_fock_amps(n, phi, t)),
+    ):
+        want = PureTwoModeState.from_sector(n, amps).sector_view.amps
+        assert np.array_equal(state.sector_view.amps, want)
+
+
+# Sector sets with gaps: small, straddling the exact-binomial limit N = 300, and spread out.
+SECTOR_SETS = st.one_of(
+    st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+    st.lists(st.integers(285, 320), min_size=1, max_size=8, unique=True),
+    st.lists(st.integers(0, 420), min_size=1, max_size=6, unique=True),
+)
+
+
+@settings(max_examples=60)
+@given(
+    totals=SECTOR_SETS,
+    phi=st.one_of(st.sampled_from([0.0, 0.4, -1.3]), st.floats(-100.0, 100.0)),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_build_equals_the_per_sector_build(totals, phi, t, seed):
+    masses = np.random.default_rng(seed).random(len(totals)) + 0.05
+    dist = NumberDistribution.from_probs(dict(zip(totals, masses.tolist())))
+    assert_flat_build_matches_oracle(dist, phi, t)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("dist", [
+    lambda: gaussian_distribution(300.0, 30.0),
+    lambda: poissonian_distribution(20.0),
+    lambda: thermal_distribution(5.0),
+], ids=["gaussian(300,30)", "poissonian(20)", "thermal(5)"])
+def test_flat_build_equals_the_per_sector_build_on_noise(dist, t):
+    assert_flat_build_matches_oracle(dist(), 0.7, t)
+
+
+class TestBuildLimits:
+    @pytest.mark.parametrize("build,match", [
+        (lambda: number_phase_state(10**9, 0.0), r"n=1000000000: .* needs 16,000,000,016 bytes"),
+        (lambda: split_fock_state(10**9, 0.0), r"n=1000000000: .* needs 16,000,000,016 bytes"),
+        (lambda: thermal_distribution(1e12), r"thermal noise mean=1000000000000.0: .* needs [\d,]+ bytes"),
+        (lambda: poissonian_distribution(1e12),
+         r"poissonian noise mean=1000000000000.0: .* needs [\d,]+ bytes"),
+        (lambda: gaussian_distribution(1e9, 1e8),
+         r"gaussian noise mean=1000000000.0, std=100000000.0: .* needs [\d,]+ bytes"),
+    ], ids=["number_phase", "split_fock", "thermal", "poissonian", "gaussian"])
+    def test_build_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays, build,
+                                                                 match):
+        with pytest.raises(ArraySizeError, match=match):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: number_phase_state(2, 1e308),
+        lambda: split_fock_state(400, 1e306, 0.3),
+        lambda: mixture_from_sector_amplitudes(
+            poissonian_distribution(3.0), lambda totals: fock._number_phase_amps(totals, 1e308)
+        ),
+    ])
+    def test_non_finite_phase_factor_names_phi_without_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"phi = 1e\+30[68] makes the phase factor"):
+                build()
+
+    def test_largest_finite_phase_factor_is_kept(self):
+        state = number_phase_state(1, 1e308)
+        assert np.isfinite(state.sector_view.amps).all()
+
+    @pytest.mark.parametrize("mean,std", [(400.0, 1e-300), (400.5, 1e-10)])
+    def test_gaussian_without_mass_names_std(self, mean, std):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"std = {std!r} is too small"):
+                gaussian_distribution(mean, std)
+
+    def test_narrow_gaussian_is_a_point_mass(self):
+        assert gaussian_distribution(400.0, 1e-160).probs == {400: 1.0}
 
 
 @given(total=st.integers(min_value=0, max_value=12), seed=st.integers(0, 2**32 - 1))

@@ -38,6 +38,7 @@ from npsteer import (
 
 from npsteer import phase_povm
 from oracles import (
+    joined,
     oracle_bootstrap_std,
     oracle_density_loop,
     oracle_joint_density,
@@ -185,7 +186,7 @@ class TestBlockedDensity:
     def test_zero_weight_sector_is_left_out(self, rng):
         dist = NumberDistribution.from_probs({2: 0.5, 5: 0.0, 9: 0.5})
         amps = {n: rand_single(rng, n + 1) for n in (2, 5, 9)}
-        mix = mixture_from_sector_amplitudes(dist, lambda n: amps[n])
+        mix = mixture_from_sector_amplitudes(dist, joined(lambda n: amps[n]))
         np.testing.assert_array_equal(mix.sector_view.totals, [2, 9])
         density = relative_phase_density(mix)
         np.testing.assert_array_equal(density.values, oracle_density_loop(mix, density.grid_size))
