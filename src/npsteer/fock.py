@@ -27,6 +27,10 @@ DEFAULT_TAIL_TOL = 1e-10
 # amplitude grid up to cutoff 8191, a joint phase density up to K = 8192.
 MAX_ARRAY_BYTES = 1 << 30
 
+# Peak bytes a point of a trimmed noise support costs while
+# NumberDistribution.from_probs builds its dict (about 240 measured)
+SUPPORT_POINT_BYTES = 256
+
 # math.comb stays exact and convertible to float up to roughly this order
 _EXACT_BINOM_LIMIT = 300
 
@@ -488,8 +492,13 @@ def _trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
     return kept, masses / masses.sum(), kept_fraction
 
 
-def _distribution_from_raw(numbers, raw, tail_tol, extra_meta=None) -> NumberDistribution:
+def _distribution_from_raw(numbers, raw, tail_tol, what, extra_meta=None) -> NumberDistribution:
     numbers, masses, kept = _trim_tails(np.asarray(numbers), np.asarray(raw, dtype=float), tail_tol)
+    require_array_bytes(
+        SUPPORT_POINT_BYTES * len(numbers),
+        f"{what}: the dict of {len(numbers):,} support points "
+        f"({SUPPORT_POINT_BYTES} bytes a point)",
+    )
     meta = {"kept_mass": kept}
     if extra_meta:
         meta.update(extra_meta)
@@ -510,9 +519,8 @@ def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     if tail_tol <= 0:
         raise ValueError("tail tolerance must be positive")
     horizon = int(math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0))
-    require_array_bytes(
-        8 * (horizon + 1), f"poissonian noise mean={mean!r}: the masses for N = 0..{horizon}"
-    )
+    what = f"poissonian noise mean={mean!r}"
+    require_array_bytes(8 * (horizon + 1), f"{what}: the masses for N = 0..{horizon}")
     mode = min(int(mean), horizon)
     raw = np.zeros(horizon + 1)
     raw[mode] = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
@@ -520,7 +528,7 @@ def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> 
         raw[n + 1] = raw[n] * (mean / (n + 1))
     for n in range(mode, 0, -1):
         raw[n - 1] = raw[n] * (n / mean)
-    return _distribution_from_raw(np.arange(horizon + 1), raw, tail_tol)
+    return _distribution_from_raw(np.arange(horizon + 1), raw, tail_tol, what)
 
 
 def thermal_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> NumberDistribution:
@@ -535,12 +543,11 @@ def thermal_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Num
     log_q = math.log(q)
     while horizon * horizon * math.exp((horizon + 1) * log_q) / (1.0 - q) >= tail_tol * 1e-3:
         horizon *= 2
-    require_array_bytes(
-        8 * (horizon + 1), f"thermal noise mean={mean!r}: the masses for N = 0..{horizon}"
-    )
+    what = f"thermal noise mean={mean!r}"
+    require_array_bytes(8 * (horizon + 1), f"{what}: the masses for N = 0..{horizon}")
     n = np.arange(horizon + 1)
     raw = np.exp(n * log_q) * (1.0 - q)
-    return _distribution_from_raw(n, raw, tail_tol)
+    return _distribution_from_raw(n, raw, tail_tol, what)
 
 
 def gaussian_distribution(
@@ -560,10 +567,8 @@ def gaussian_distribution(
     half_width = std * (math.sqrt(2.0 * math.log(1.0 / min(tail_tol, 0.1))) + 6.0) + 4.0
     lo = max(0, int(math.floor(mean - half_width)))
     hi = int(math.ceil(mean + half_width))
-    require_array_bytes(
-        8 * (hi - lo + 1),
-        f"gaussian noise mean={mean!r}, std={std!r}: the masses for N = {lo}..{hi}",
-    )
+    what = f"gaussian noise mean={mean!r}, std={std!r}"
+    require_array_bytes(8 * (hi - lo + 1), f"{what}: the masses for N = {lo}..{hi}")
     n = np.arange(lo, hi + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = np.exp(-((n - mean) ** 2) / (2.0 * std * std))
@@ -573,7 +578,7 @@ def gaussian_distribution(
             "has no finite positive mass on the integers"
         )
     return _distribution_from_raw(
-        n, raw, tail_tol, extra_meta={"regime_violation": bool(10.0 * std > mean)}
+        n, raw, tail_tol, what, extra_meta={"regime_violation": bool(10.0 * std > mean)}
     )
 
 

@@ -11,8 +11,10 @@ split by ``start_shot`` reproduce the sequential stream exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -28,10 +30,14 @@ MIN_GRID = 64
 MIN_SAMPLING_GRID = 256
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
 # The bootstrap's helper thread must win the GIL back from the CSV writer
-# after every numpy call: few, large index draws (a 2 MB temporary each) and
-# short formatting chunks (each one long C call under the GIL) let it keep up.
+# after every numpy call. Few, large index draws (a 2 MB temporary each) and
+# short formatting chunks (each one C call under the GIL, under a millisecond)
+# let it keep up. So does a short switch interval: the process-wide interval
+# is lowered only while the CSV is written beside the helper, and restored
+# as soon as the write ends.
 DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
-CSV_CHUNK_ROWS = 1 << 10  # rows formatted per write
+CSV_CHUNK_ROWS = 1 << 8  # rows formatted per write
+OVERLAP_SWITCH_INTERVAL = 1e-4  # seconds
 MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time
 # Sector profiles are transformed a block of (sector, angle) cells at a time:
 # 32 sectors at K = 4096, about 3 MB of transform and power, and fewer sectors
@@ -350,6 +356,8 @@ def sample_local_phases(
         raise ValueError("shots must be >= 1")
     if seed < 0 or start_shot < 0:
         raise ValueError("seed and start_shot must be non-negative integers")
+    # The largest per-shot array is the uniforms, four doubles a shot.
+    require_array_bytes(32 * shots, f"--shots {shots}: the {shots:,} x 4 shot uniforms")
     if grid_size is not None:
         grid_size = _validate_grid(grid_size, state.cutoff, floor=MIN_SAMPLING_GRID)
     if isinstance(state, PureTwoModeState):
@@ -380,6 +388,22 @@ def _helper_count() -> int:
     return 1 if cpus > 1 else 0
 
 
+@contextlib.contextmanager
+def _short_switch_interval():
+    """Hand the GIL over within OVERLAP_SWITCH_INTERVAL; restore the caller's interval after.
+
+    The interval is process-wide: two estimates that overlap their writes on
+    different threads of one process can restore in the wrong order and leave
+    the short interval in place.
+    """
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(min(interval, OVERLAP_SWITCH_INTERVAL))
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, alongside):
     """The resampled dispersions, in draw order, with ``alongside()`` run on the calling thread.
 
@@ -387,7 +411,8 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
     ``rng``, and its value is stored at its draw index, so the values are the
     same whichever thread gathers them. The draws, the gather and the mean
     release the GIL, so a helper thread resamples while ``alongside()`` (the
-    CSV writer) runs; then the calling thread joins in. The calling thread
+    CSV writer) runs, under a short switch interval so that the helper gets
+    the GIL back quickly; then the calling thread joins in. The calling thread
     allocates every worker's index and gather buffers, once per estimate, so
     the helper makes no large allocation of its own (glibc would serve it
     from a separate per-thread arena and raise the peak resident size).
@@ -429,7 +454,8 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
         t.start()
     try:
         if alongside is not None:
-            alongside()
+            with _short_switch_interval() if threads else contextlib.nullcontext():
+                alongside()
         work(*buffers())
     except BaseException:
         stop = True
@@ -465,6 +491,9 @@ def estimate_relative_dispersion(
     n = samples1.shots
     if n < 2:
         raise ValueError("need at least 2 shots to estimate a dispersion")
+    # The phase factors, and each bootstrap worker's gather buffer beside its
+    # 8-byte draw indices, hold one complex number a shot.
+    require_array_bytes(16 * n, f"{n:,} shots: the phase factors and each bootstrap gather buffer")
     z = np.exp(1j * (samples1.phis - samples2.phis))
     d2_hat = 1.0 - abs(complex(z.mean())) ** 2
     if method == "bootstrap":

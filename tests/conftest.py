@@ -30,9 +30,10 @@ def _arange_length(start, stop=None, step=None, *args, **kwargs):
 
 @pytest.fixture
 def refuse_large_arrays(monkeypatch):
-    """Fail the test at any np.zeros, np.empty, np.arange or np.fft.fft2 call for
-    more than LARGE_ARRAY_ELEMENTS elements, before it allocates: the allocation
-    guards must fire first, and a missing guard must not start a huge allocation."""
+    """Fail the test at any np.zeros, np.empty, np.arange, np.fft.fft2 or
+    np.random.Generator.random call for more than LARGE_ARRAY_ELEMENTS elements,
+    before it allocates: the allocation guards must fire first, and a missing
+    guard must not start a huge allocation."""
 
     def refusing(fn, shape_of):
         def checked(*args, **kwargs):
@@ -48,3 +49,10 @@ def refuse_large_arrays(monkeypatch):
     monkeypatch.setattr(
         np.fft, "fft2", refusing(np.fft.fft2, lambda a, s=None, *r, **k: np.shape(a) if s is None else s)
     )
+
+    class RefusingGenerator(np.random.Generator):  # the extension type's methods cannot be patched
+        random = refusing(
+            np.random.Generator.random, lambda self, size=None, *a, **k: () if size is None else size
+        )
+
+    monkeypatch.setattr(np.random, "Generator", RefusingGenerator)

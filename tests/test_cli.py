@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import sys
 import threading
 import warnings
 
 import pytest
 
-from npsteer import REPORT_FIELDS
+from npsteer import REPORT_FIELDS, cli, phase_povm
 from npsteer.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
 
 # The criteria `eval` reports, in the order of its lines, payload and CSV columns.
@@ -477,6 +478,38 @@ class TestSample:
         assert "K=1000000" in err and "needs 16,000,000,000,000 bytes" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_shots_over_the_array_limit_exit_three(self, capsys, tmp_path, refuse_large_arrays):
+        code, out, err = run(
+            capsys, "sample", "--state", NP3, "--shots", "100000000000",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert err.startswith("error: array too large: --shots 100000000000: ")
+        assert "needs 3,200,000,000,000 bytes" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", [None, "shots", "writer"])
+    def test_switch_interval_reads_the_same_after_sample(self, capsys, tmp_path, monkeypatch,
+                                                         failure):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        shots = "100000000000" if failure == "shots" else "3000"
+        argv = ["sample", "--state", NP3, "--shots", shots, "--out", str(tmp_path / "s.csv")]
+
+        def full_disk(*args):
+            raise OSError("disk full")
+
+        if failure == "writer":
+            monkeypatch.setattr(cli, "write_samples_csv", full_disk)
+        before = sys.getswitchinterval()
+        if failure == "writer":
+            with pytest.raises(OSError, match="disk full"):
+                main(argv)
+        else:
+            assert main(argv) == (3 if failure else 0)
+        capsys.readouterr()
+        assert sys.getswitchinterval() == before
 
     def test_array_refusal_has_its_own_prefix(self, capsys, tmp_path, refuse_large_arrays):
         code, out, err = run(

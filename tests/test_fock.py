@@ -532,6 +532,20 @@ class TestBuildLimits:
         with pytest.raises(ArraySizeError, match=match):
             build()
 
+    def test_noise_support_over_the_limit_raises_before_its_dict(self, monkeypatch):
+        # 433,824 trimmed points at 256 bytes a point, from a 4 MB mass array.
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 16 << 20)
+
+        def from_probs(*args, **kwargs):
+            raise AssertionError("the support dict was built")
+
+        monkeypatch.setattr(NumberDistribution, "from_probs", from_probs)
+        with pytest.raises(ArraySizeError, match=(
+            r"^gaussian noise mean=1000000.0, std=20000.0: the dict of 433,824 support points "
+            r"\(256 bytes a point\) needs 111,058,944 bytes"
+        )):
+            gaussian_distribution(1e6, 2e4)
+
     @pytest.mark.parametrize("build", [
         lambda: number_phase_state(2, 1e308),
         lambda: split_fock_state(400, 1e306, 0.3),

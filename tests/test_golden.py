@@ -13,7 +13,8 @@ files. ``{out}`` in an argv stands for the output file.
 
 Its ``chunked_samples`` entries were recorded before the bootstrap moved to a
 helper thread and the CSV writer to chunks: a run long enough to span many
-writer chunks, run again with index draws split into several chunks.
+writer chunks, run again with index draws split into several chunks, with and
+without the helper thread.
 """
 import hashlib
 import json
@@ -47,10 +48,12 @@ def test_sample_stream_and_estimate_are_pinned(case, tmp_path, capsys):
     assert est["std_error"] == case["std_error"]
 
 
+@pytest.mark.parametrize("helpers", [0, 1])
 @pytest.mark.parametrize("draw_chunk", [phase_povm.DRAW_CHUNK, 1 << 15])
 @pytest.mark.parametrize("case", GOLDEN["chunked_samples"], ids=lambda c: json.dumps(c["spec"]))
-def test_chunked_sample_outputs_are_pinned(case, draw_chunk, tmp_path, capsys, monkeypatch):
+def test_chunked_sample_outputs_are_pinned(case, draw_chunk, helpers, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(phase_povm, "DRAW_CHUNK", draw_chunk)
+    monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
     out = tmp_path / "s.csv"
     argv = ["sample", "--state", json.dumps(case["spec"]), "--shots", str(case["shots"]),
             "--seed", str(case["seed"]), "--out", str(out)]

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npsteer import (
+    ArraySizeError,
     JointPhaseDensity,
     NumberDistribution,
     PhaseDensity,
@@ -36,7 +38,7 @@ from npsteer import (
     write_samples_csv,
 )
 
-from npsteer import phase_povm
+from npsteer import fock, phase_povm
 from oracles import (
     joined,
     oracle_bootstrap_std,
@@ -357,6 +359,10 @@ class TestSampling:
         with pytest.raises(ValueError, match="non-negative"):
             sample_local_phases(state, 5, seed=-1)
 
+    def test_refuse_large_arrays_covers_the_shot_uniforms(self, refuse_large_arrays):
+        with pytest.raises(AssertionError, match=r"random\[8388608, 4\]"):
+            phase_povm._shot_uniforms(1, 0, 1 << 23)
+
     def test_sample_grid_floor_is_enforced(self):
         state = number_phase_state(1, 0.0)
         with pytest.raises(ValueError, match="256"):
@@ -454,6 +460,18 @@ class TestThreadedBootstrap:
     def odd_samples(self):
         return sample_local_phases(split_fock_state(4, 0.3, 0.5), 5003, seed=29)
 
+    @pytest.fixture
+    def failing_helper_take(self, monkeypatch):
+        """Make np.take raise on every thread but the main one."""
+        take = np.take
+
+        def failing_on_helper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(phase_povm.np, "take", failing_on_helper)
+
     @pytest.mark.parametrize("helpers", [0, 1])
     @pytest.mark.parametrize("draw_chunk", [phase_povm.DRAW_CHUNK, 1000])
     def test_equals_the_serial_loop(self, monkeypatch, odd_samples, helpers, draw_chunk):
@@ -483,6 +501,48 @@ class TestThreadedBootstrap:
             sys.setswitchinterval(interval)
         assert est.std_error == oracle_bootstrap_std(s1, s2, 400)
 
+    def test_estimate_over_the_array_limit_raises_before_resampling(self, monkeypatch,
+                                                                   odd_samples):
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 16 * 5003 - 1)
+        calls = []
+        with pytest.raises(ArraySizeError, match=r"^5,003 shots: .* needs 80,048 bytes"):
+            estimate_relative_dispersion(*odd_samples, alongside=lambda: calls.append(1))
+        assert calls == []
+
+    def test_switch_interval_is_short_during_the_write_and_restored(self, monkeypatch,
+                                                                    odd_samples):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        before = sys.getswitchinterval()
+        seen = []
+        estimate_relative_dispersion(
+            *odd_samples, resamples=37, alongside=lambda: seen.append(sys.getswitchinterval())
+        )
+        assert seen == [pytest.approx(min(before, phase_povm.OVERLAP_SWITCH_INTERVAL))]
+        assert sys.getswitchinterval() == before
+
+    def test_switch_interval_is_restored_after_a_helper_failure(self, monkeypatch, odd_samples,
+                                                                failing_helper_take):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        before = sys.getswitchinterval()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            # The helper fails while the writer runs under the short interval.
+            estimate_relative_dispersion(*odd_samples, resamples=37,
+                                         alongside=lambda: time.sleep(0.05))
+        assert sys.getswitchinterval() == before
+
+    @pytest.mark.parametrize("helpers,method,alongside", [
+        (0, "bootstrap", lambda: None),
+        (1, "bootstrap", None),
+        (1, "jackknife", lambda: None),
+    ], ids=["no helper", "nothing alongside", "jackknife"])
+    def test_switch_interval_is_left_alone_without_an_overlap(self, monkeypatch, odd_samples,
+                                                              helpers, method, alongside):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
+        calls = []
+        monkeypatch.setattr(sys, "setswitchinterval", calls.append)
+        estimate_relative_dispersion(*odd_samples, method=method, resamples=37, alongside=alongside)
+        assert calls == []
+
     def test_alongside_runs_once_for_the_jackknife(self, odd_samples):
         calls = []
         est = estimate_relative_dispersion(
@@ -491,16 +551,9 @@ class TestThreadedBootstrap:
         assert calls == [1]
         assert est.resamples == 0
 
-    def test_helper_failure_raises_in_the_caller(self, monkeypatch, odd_samples):
+    def test_helper_failure_raises_in_the_caller(self, monkeypatch, odd_samples,
+                                                 failing_helper_take):
         monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
-        take = np.take
-
-        def failing_on_helper(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("helper failed")
-            return take(*args, **kwargs)
-
-        monkeypatch.setattr(phase_povm.np, "take", failing_on_helper)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
             estimate_relative_dispersion(*odd_samples, resamples=37)
@@ -523,9 +576,11 @@ class TestThreadedBootstrap:
 
         rng = CountingRng()
         threads = threading.active_count()
+        interval = sys.getswitchinterval()
         with pytest.raises(OSError, match="disk full"):
             phase_povm._bootstrap_values(z, rng, 10_000, failing_writer)
         assert threading.active_count() == threads
+        assert sys.getswitchinterval() == interval
         assert rng.draws < 100  # the helper stopped after its current resample
 
     @pytest.mark.parametrize("chunk_rows", [phase_povm.CSV_CHUNK_ROWS, 7])
