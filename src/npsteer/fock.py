@@ -256,6 +256,19 @@ def _log_factorials(n: int) -> np.ndarray:
     return _log_factorial
 
 
+_binomial = np.ones(1)  # binom(N, m) for N = 0, 1, ..., row N from N(N+1)/2; grown on demand
+
+
+def _binomials(totals: np.ndarray) -> np.ndarray:
+    """binom(N, m), m = 0..N, of each sector N in ``totals``: floats of math.comb, concatenated."""
+    global _binomial
+    have, n_max = math.isqrt(2 * len(_binomial)), int(totals[-1])  # rows in the table
+    if have <= n_max:
+        more = [math.comb(n, m) for n in range(have, n_max + 1) for m in range(n + 1)]
+        _binomial = np.concatenate((_binomial, np.array(more, dtype=float)))
+    return np.concatenate([_binomial[n * (n + 1) // 2 :][: n + 1] for n in totals.tolist()])
+
+
 def _split_fock_amps(totals: np.ndarray, phi: float, transmissivity: float) -> np.ndarray:
     """Amplitudes sqrt(binom(N, m) t^m (1-t)^(N-m)) e^{i phi m} of the sectors N in ``totals``.
 
@@ -272,7 +285,7 @@ def _split_fock_amps(totals: np.ndarray, phi: float, transmissivity: float) -> n
     cut = int(counts[:exact].sum())  # entries [:cut] belong to the exact sectors
     if exact:
         small = totals[:exact]
-        binom = np.array([math.comb(N, j) for N in small.tolist() for j in range(N + 1)], float)
+        binom = _binomials(small)
         with np.errstate(divide="ignore"):
             # 0**0 = 1 handled explicitly so t in {0, 1} stays valid
             t_pow = np.where(levels == 0, 1.0, t**levels)
@@ -472,24 +485,23 @@ class NumberDistribution:
 
 def _trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
     """Drop outer support whose discarded mass and N^2-weighted mass both
-    stay below tail_tol per side. Returns (numbers, masses, kept_fraction)."""
-    w2 = raw * numbers.astype(float) ** 2
-    budget = 0.5 * tail_tol
-    pm = np.concatenate(([0.0], np.cumsum(raw)))
-    p2 = np.concatenate(([0.0], np.cumsum(w2)))
-    sm = np.concatenate(([0.0], np.cumsum(raw[::-1])))[::-1]
-    s2 = np.concatenate(([0.0], np.cumsum(w2[::-1])))[::-1]
-    lo = 0
-    while lo < len(raw) - 1 and pm[lo + 1] < budget and p2[lo + 1] < budget:
-        lo += 1
-    hi = len(raw) - 1
-    while hi > lo and sm[hi] < budget and s2[hi] < budget:
-        hi -= 1
-    kept = numbers[lo : hi + 1]
+    stay below tail_tol per side. Returns (numbers, masses, kept_fraction).
+
+    The masses are non-negative, so the running sums from either end never
+    decrease: each cut is one search, over one running sum alive at a time.
+    """
+    w2 = numbers.astype(float)
+    np.square(w2, out=w2)
+    w2 *= raw
+
+    def below(x):  # how many leading entries of the running sum of x lie below the budget
+        return int(np.searchsorted(np.cumsum(x), 0.5 * tail_tol, side="left"))
+
+    last = len(raw) - 1
+    lo = min(last, below(raw), below(w2))
+    hi = last - min(last - lo, below(raw[::-1]), below(w2[::-1]))
     masses = raw[lo : hi + 1]
-    total = raw.sum()
-    kept_fraction = float(masses.sum() / total)
-    return kept, masses / masses.sum(), kept_fraction
+    return numbers[lo : hi + 1], masses / masses.sum(), float(masses.sum() / raw.sum())
 
 
 def _distribution_from_raw(numbers, raw, tail_tol, what, extra_meta=None) -> NumberDistribution:

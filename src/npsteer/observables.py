@@ -57,6 +57,34 @@ def _coherent_grid(state: State) -> np.ndarray | None:
     return None
 
 
+def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
+    """Number moments, E1 E2†, cross-mode moments and edge mass, in one pass over the view:
+    |amps|^2, the levels and the neighbor products are formed once, the other temporaries
+    updated in place, and each sum keeps the arithmetic of a pass of its own."""
+    view = state.sector_view
+    p = np.abs(view.amps)
+    np.square(p, out=p)
+    sector_p = np.add.reduceat(p, view.starts[:-1])
+    tot1 = float(np.dot(sector_p, view.totals))
+    tot_var = float(np.dot(sector_p, (view.totals - tot1) ** 2))
+    m, n = view.levels()
+    edge_mass = float(np.sum(p[(m == state.cutoff) | (n == state.cutoff)]))
+    na, nb = float(np.dot(p, m)), float(np.dot(p, n))
+    tmp = np.subtract(m, na)
+    m_var = float(np.dot(p, np.square(tmp, out=tmp)))
+    n_var = float(np.dot(p, np.square(np.subtract(n, nb, out=tmp), out=tmp)))
+    nanb = float(np.dot(p, np.multiply(m, n, out=tmp)))
+    roots = np.add(m[:-1], 1.0, out=tmp[:-1])  # <a† b> weighs the pairs by sqrt((m + 1) n)
+    roots *= n[:-1]
+    np.sqrt(roots, out=roots)
+    del p, m, n
+    pairs = view.neighbor_products()
+    e_rel = complex(np.sum(pairs))
+    pairs *= roots
+    hz = HZMoments(complex(np.sum(pairs)).conjugate(), nanb, na, nb)
+    return NumberMoments(tot1, tot_var, m_var, n_var), e_rel, hz, edge_mass
+
+
 def number_moments(state: State) -> NumberMoments:
     """Mean and variance of the total number plus per-mode variances.
 
@@ -64,15 +92,7 @@ def number_moments(state: State) -> NumberMoments:
     eigenstates report a variance at the 1e-20 level instead of the 1e-14
     cancellation noise of a raw <N^2> - <N>^2 difference.
     """
-    view = state.sector_view
-    p = np.abs(view.amps) ** 2
-    sector_p = np.add.reduceat(p, view.starts[:-1])
-    tot1 = float(np.dot(sector_p, view.totals))
-    tot_var = float(np.dot(sector_p, (view.totals - tot1) ** 2))
-    m, n = view.levels()
-    m1, n1 = float(np.dot(p, m)), float(np.dot(p, n))
-    m_var, n_var = float(np.dot(p, (m - m1) ** 2)), float(np.dot(p, (n - n1) ** 2))
-    return NumberMoments(tot1, tot_var, m_var, n_var)
+    return _view_sums(state)[0]
 
 
 def exp_phase_relative(state: State) -> complex:
@@ -81,7 +101,7 @@ def exp_phase_relative(state: State) -> complex:
     E1 E2† maps |m+1>|N-m-1> to |m>|N-m> within sector N, so this is the
     sum of conj(a[m]) a[m+1] over neighbors of each sector.
     """
-    return complex(np.sum(state.sector_view.neighbor_products()))
+    return _view_sums(state)[1]
 
 
 def exp_phase_single(state: State, mode: int) -> complex:
@@ -112,17 +132,7 @@ def dispersions(state: State) -> Dispersions:
 
 def hz_moments(state: State) -> HZMoments:
     """Cross-mode moments <a† b>, <a†a b†b>, <a†a>, <b†b> (a = mode 1)."""
-    view = state.sector_view
-    p = np.abs(view.amps) ** 2
-    m, n = view.levels()
-    weights = m[:-1] + 1.0
-    weights *= n[:-1]
-    pairs = view.neighbor_products()
-    pairs *= np.sqrt(weights, out=weights)
-    adagb = complex(np.sum(pairs)).conjugate()
-    na, nb = float(np.dot(p, m)), float(np.dot(p, n))
-    m *= n
-    return HZMoments(adagb, float(np.dot(p, m)), na, nb)
+    return _view_sums(state)[2]
 
 
 def _ladder_moments(state: State) -> tuple[complex, complex, complex]:
@@ -136,11 +146,9 @@ def _ladder_moments(state: State) -> tuple[complex, complex, complex]:
     return a1, a2, a1a2
 
 
-def _warn_on_edge_mass(state: State, edge_tol: float) -> None:
-    """Warn when the levels m = cutoff or n = cutoff carry more than edge_tol."""
-    m, n = state.sector_view.levels()
-    edge = (m == state.cutoff) | (n == state.cutoff)
-    if float(np.sum(np.abs(state.sector_view.amps[edge]) ** 2)) > edge_tol:
+def _warn_on_edge_mass(edge_mass: float, edge_tol: float) -> None:
+    """Warn the public function's caller when the levels m, n = cutoff carry over edge_tol."""
+    if edge_mass > edge_tol:
         message = "state carries mass at the cutoff edge; quadrature moments may be biased"
         warnings.warn(message, TruncationBiasWarning, stacklevel=3)
 
@@ -159,8 +167,10 @@ def quadrature_sum_variance(state: State, edge_tol: float = EDGE_MASS_TOL) -> fl
     probability mass; for states whose support ends exactly at the cutoff
     (fixed total number) the warning is conservative.
     """
-    _warn_on_edge_mass(state, edge_tol)
-    return _quadrature_sum(number_moments(state).n_mean, _ladder_moments(state))
+    ladder = _ladder_moments(state)
+    nm, _, _, edge_mass = _view_sums(state)
+    _warn_on_edge_mass(edge_mass, edge_tol)
+    return _quadrature_sum(nm.n_mean, ladder)
 
 
 def single_mode_moments(amps: np.ndarray) -> tuple[float, float, float]:
@@ -219,19 +229,11 @@ REPORT_FIELDS = tuple(key for f in fields(ObservableReport) for key in _flat_key
 
 
 def observable_report(state: State) -> ObservableReport:
-    """Evaluate the full observable bundle for a state, each moment once."""
-    nm = number_moments(state)
-    e_rel = exp_phase_relative(state)
-    e1 = exp_phase_single(state, 1)
-    e2 = exp_phase_single(state, 2)
+    """Evaluate the full observable bundle for a state, each moment once: the grid moments
+    first, so that their temporaries are freed before the one pass over the sector view."""
+    e1, e2 = exp_phase_single(state, 1), exp_phase_single(state, 2)
+    ladder = _ladder_moments(state)
+    nm, e_rel, hz, edge_mass = _view_sums(state)
     disp = _dispersions(e_rel, e1, e2)
-    hz = hz_moments(state)
-    _warn_on_edge_mass(state, EDGE_MASS_TOL)
-    quad = _quadrature_sum(nm.n_mean, _ladder_moments(state))
-    return ObservableReport(
-        n_mean=nm.n_mean, n_var=nm.n_var, n1_var=nm.n1_var, n2_var=nm.n2_var,
-        e_rel=e_rel, e1=e1, e2=e2,
-        d2_rel=disp.d2_rel, d2_1=disp.d2_1, d2_2=disp.d2_2,
-        hz_adagb=hz.adagb, hz_nanb=hz.nanb, hz_na=hz.na, hz_nb=hz.nb,
-        quad_sum=quad,
-    )
+    _warn_on_edge_mass(edge_mass, EDGE_MASS_TOL)
+    return ObservableReport(*nm, e_rel, e1, e2, *disp, *hz, _quadrature_sum(nm.n_mean, ladder))

@@ -125,16 +125,20 @@ def oracle_relative_density(state, phi: float) -> float:
     return acc / TWO_PI
 
 
+def oracle_summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np.ndarray:
+    """Summed sector profiles as the per-sector loop made them: one length-K FFT per sector."""
+    acc = np.zeros(grid_size)
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        m = np.arange(hi - lo)
+        signed = amps[lo:hi] * np.where(m % 2 == 0, 1.0, -1.0)
+        acc += np.abs(np.fft.fft(signed, n=grid_size)) ** 2
+    return acc
+
+
 def oracle_density_loop(state, grid_size: int) -> np.ndarray:
     """Relative-density values as the per-sector loop made them: one FFT per sector of the view."""
     view = state.sector_view
-    acc = np.zeros(grid_size)
-    for lo, hi in zip(view.starts[:-1].tolist(), view.starts[1:].tolist()):
-        amps = view.amps[lo:hi]
-        m = np.arange(len(amps))
-        signed = amps * np.where(m % 2 == 0, 1.0, -1.0)
-        acc += np.abs(np.fft.fft(signed, n=grid_size)) ** 2
-    return acc / TWO_PI
+    return oracle_summed_profiles(view.amps, view.starts, grid_size) / TWO_PI
 
 
 def oracle_joint_density(state: PureTwoModeState, phi1: float, phi2: float) -> float:
@@ -222,6 +226,27 @@ def oracle_mixture(dist: NumberDistribution, sector_amps) -> SectorMixture:
             raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
         np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
     return SectorMixture._flat(totals, dist.masses(), starts, amps)
+
+
+def oracle_trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
+    """The noise-support trim as the loop over the tails made it: all four running sums
+    formed first, then the cut walked inward from each end one point at a time."""
+    w2 = raw * numbers.astype(float) ** 2
+    budget = 0.5 * tail_tol
+    pm = np.concatenate(([0.0], np.cumsum(raw)))
+    p2 = np.concatenate(([0.0], np.cumsum(w2)))
+    sm = np.concatenate(([0.0], np.cumsum(raw[::-1])))[::-1]
+    s2 = np.concatenate(([0.0], np.cumsum(w2[::-1])))[::-1]
+    lo = 0
+    while lo < len(raw) - 1 and pm[lo + 1] < budget and p2[lo + 1] < budget:
+        lo += 1
+    hi = len(raw) - 1
+    while hi > lo and sm[hi] < budget and s2[hi] < budget:
+        hi -= 1
+    kept = numbers[lo : hi + 1]
+    masses = raw[lo : hi + 1]
+    kept_fraction = float(masses.sum() / raw.sum())
+    return kept, masses / masses.sum(), kept_fraction
 
 
 def oracle_bootstrap_std(samples1, samples2, resamples: int, seed: int | None = None) -> float:

@@ -39,6 +39,7 @@ from oracles import (
     oracle_mixture,
     oracle_number_phase_amps,
     oracle_split_fock_amps,
+    oracle_trim_tails,
     rand_single,
 )
 
@@ -515,6 +516,77 @@ def test_flat_build_equals_the_per_sector_build(totals, phi, t, seed):
 ], ids=["gaussian(300,30)", "poissonian(20)", "thermal(5)"])
 def test_flat_build_equals_the_per_sector_build_on_noise(dist, t):
     assert_flat_build_matches_oracle(dist(), 0.7, t)
+
+
+def test_binomial_table_grows_on_demand_with_exact_rows(monkeypatch):
+    monkeypatch.setattr(fock, "_binomial", np.ones(1))
+    for totals in ([4], [0, 2, 9], [250, 300], [3], [300]):
+        want = [math.comb(n, m) for n in totals for m in range(n + 1)]
+        assert np.array_equal(fock._binomials(np.array(totals)), np.array(want, dtype=float))
+    assert len(fock._binomial) == 301 * 302 // 2
+
+
+def assert_trim_matches_the_loop(numbers, raw, tail_tol):
+    # a kept point of zero mass normalizes to NaN on both sides
+    with np.errstate(invalid="ignore"):
+        got = fock._trim_tails(numbers, raw, tail_tol)
+        want = oracle_trim_tails(numbers, raw, tail_tol)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert repr(got[2]) == repr(want[2])
+    return got
+
+
+# Masses from 1 down to 1e-30, and zeros, so that either tail can fall under the budget.
+TRIM_MASSES = st.lists(
+    st.one_of(st.just(0.0), st.integers(0, 30).map(lambda e: 10.0**-e), st.floats(0.0, 1.0)),
+    min_size=1, max_size=40,
+).filter(lambda masses: sum(masses) > 0.0)
+
+
+@settings(max_examples=300)
+@given(
+    masses=TRIM_MASSES,
+    first=st.integers(0, 10**6),
+    tail_tol=st.one_of(st.floats(1e-14, 1e-1), st.sampled_from([1e-300, 1.0, 10.0, math.inf])),
+)
+def test_trim_tails_equals_the_loop(masses, first, tail_tol):
+    numbers = np.arange(first, first + len(masses))
+    assert_trim_matches_the_loop(numbers, np.array(masses), tail_tol)
+
+
+@pytest.mark.parametrize("masses", [[0.25], [0.0, 0.25, 0.0], [1e-20, 0.5, 1e-20]])
+def test_trim_tails_single_point_kept_alone(masses):
+    numbers = np.arange(5, 5 + len(masses))
+    kept, out, fraction = assert_trim_matches_the_loop(numbers, np.array(masses), 1e-10)
+    assert kept.tolist() == [6 if len(masses) == 3 else 5] and out.tolist() == [1.0]
+    assert fraction == 1.0
+
+
+def test_trim_tails_keeps_a_tail_whose_mass_equals_the_budget():
+    # budget 0.25: each end's first point reaches it exactly, so neither is dropped
+    kept, _, fraction = assert_trim_matches_the_loop(np.arange(4), np.full(4, 0.25), 0.5)
+    assert kept.tolist() == [0, 1, 2, 3] and fraction == 1.0
+
+
+def test_trim_tails_all_trimmed_keeps_one_point():
+    kept, out, fraction = assert_trim_matches_the_loop(np.arange(10), np.full(10, 0.1), 100.0)
+    assert kept.tolist() == [9] and out.tolist() == [1.0]
+    assert fraction == pytest.approx(0.1, abs=1e-15)
+
+
+def test_trim_tails_holds_one_running_sum_at_a_time():
+    x = np.arange(-100_000, 100_001)
+    raw = np.exp(-(x / 5000.0) ** 2 / 2.0)
+    numbers = x + 10**6
+    tracemalloc.start()
+    try:
+        fock._trim_tails(numbers, raw, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the N^2-weighted masses and one running sum, then the kept masses
+    assert peak < 2.5 * raw.nbytes
 
 
 class TestBuildLimits:

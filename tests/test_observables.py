@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from npsteer import (
     dispersions,
     exp_phase_relative,
     exp_phase_single,
+    gaussian_distribution,
     hz_moments,
+    mixture_from_sector_amplitudes,
     mixture_over_sectors,
     number_moments,
     number_phase_state,
@@ -24,6 +27,7 @@ from npsteer import (
     two_mode_squeezed_state,
 )
 
+from npsteer import fock
 from oracles import csv_row, oracle_moments, rand_mixture, rand_product, rand_pure, rand_single
 
 
@@ -250,6 +254,41 @@ class TestObservableReport:
             )
             assert report.d2_1 == pytest.approx(1.0 - abs(report.e1) ** 2, abs=1e-14)
             assert report.d2_2 == pytest.approx(1.0 - abs(report.e2) ** 2, abs=1e-14)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: two_mode_squeezed_state(0.5),
+        lambda rng: two_mode_squeezed_state(2.0),
+        lambda rng: rand_pure(rng, 9),
+        lambda rng: number_phase_state(7, 0.4),
+        lambda rng: split_fock_state(301, -0.2, 0.3),
+        lambda rng: rand_mixture(rng, max_total=40, n_sectors=9),
+        lambda rng: mixture_from_sector_amplitudes(
+            gaussian_distribution(400.0, 10.0), lambda totals: fock._number_phase_amps(totals, 0.3)
+        ),
+    ], ids=["tmss_r0.5", "tmss_r2", "grid", "number_phase", "split_fock", "mixture",
+            "gaussian_mixture"])
+    def test_fields_equal_the_standalone_functions_bit_for_bit(self, rng, make):
+        state = make(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationBiasWarning)
+            report = observable_report(state)
+            quad = quadrature_sum_variance(state)
+        nm, hz, disp = number_moments(state), hz_moments(state), dispersions(state)
+        want = {
+            **nm._asdict(), "e_rel": exp_phase_relative(state),
+            "e1": exp_phase_single(state, 1), "e2": exp_phase_single(state, 2),
+            **disp._asdict(), **{f"hz_{k}": v for k, v in hz._asdict().items()}, "quad_sum": quad,
+        }
+        got = {k: getattr(report, k) for k in want}
+        assert {k: (complex(v).real.hex(), complex(v).imag.hex()) for k, v in got.items()} == {
+            k: (complex(v).real.hex(), complex(v).imag.hex()) for k, v in want.items()
+        }
+
+    @pytest.mark.parametrize("moments", [observable_report, quadrature_sum_variance])
+    def test_edge_warning_points_at_the_caller(self, moments):
+        with pytest.warns(TruncationBiasWarning) as record:
+            moments(number_phase_state(3, 0.0))
+        assert [w.filename for w in record] == [__file__]
 
 
 @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(1, 9))

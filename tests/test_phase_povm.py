@@ -46,6 +46,7 @@ from oracles import (
     oracle_joint_density,
     oracle_relative_density,
     oracle_samples_csv,
+    oracle_summed_profiles,
     rand_mixture,
     rand_pure,
     rand_single,
@@ -192,6 +193,33 @@ class TestBlockedDensity:
         np.testing.assert_array_equal(mix.sector_view.totals, [2, 9])
         density = relative_phase_density(mix)
         np.testing.assert_array_equal(density.values, oracle_density_loop(mix, density.grid_size))
+
+
+class TestSummedProfiles:
+    """The pre-padded block transform against one length-K FFT per sector: equal bits."""
+
+    @pytest.mark.parametrize("lengths", [
+        [1] * 40,  # one amplitude a sector, as in a squeezed state's diagonal
+        [7, 3, 5, 1, 9] * 8,
+        [2, 8, 4, 6] * 10,
+        [1, 2, 31, 32, 17, 4, 9, 10] * 5,
+        [32],
+    ], ids=["length_1", "odd", "even", "ragged", "one_sector"])
+    # K = 64 takes every case in one block; the larger K takes 16 sectors a block, 40 in three
+    @pytest.mark.parametrize("grid_size", [64, phase_povm.DENSITY_BLOCK_CELLS // 16])
+    def test_matches_one_fft_per_sector(self, rng, lengths, grid_size):
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        amps = rng.normal(size=starts[-1]) + 1j * rng.normal(size=starts[-1])
+        amps[rng.random(starts[-1]) < 0.2] = 0.0
+        got = phase_povm._summed_profiles(amps, starts, grid_size)
+        assert got.tobytes() == oracle_summed_profiles(amps, starts, grid_size).tobytes()
+
+    def test_mixture_sample_stream_matches_one_fft_per_sector(self, rng, monkeypatch):
+        mix = rand_mixture(rng, max_total=60, n_sectors=12)  # odd and even sector lengths
+        got = sample_local_phases(mix, 3000, 17)
+        monkeypatch.setattr(phase_povm, "_summed_profiles", oracle_summed_profiles)
+        want = sample_local_phases(mix, 3000, 17)
+        assert [s.phis.tobytes() for s in got] == [s.phis.tobytes() for s in want]
 
 
 class TestJointDensity:
