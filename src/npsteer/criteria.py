@@ -49,21 +49,30 @@ class CriterionVerdict:
         return out
 
 
-def _verdict(cid, lhs, bound, violated, advisory=None) -> CriterionVerdict:
-    """The verdict on ``lhs`` against ``bound``, with margin bound - lhs."""
-    return CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), bool(violated), advisory)
+def _below_bound(cid, lhs, bound, tol, advisory=None) -> CriterionVerdict:
+    """Verdict for criteria of the form lhs >= bound (violated below)."""
+    return CriterionVerdict(
+        cid, float(lhs), float(bound), float(bound - lhs), bool(lhs < bound - tol), advisory
+    )
+
+
+def _above_bound(cid, lhs, bound, tol, advisory=None) -> CriterionVerdict:
+    """Verdict for criteria of the form lhs <= bound (violated above)."""
+    return CriterionVerdict(
+        cid, float(lhs), float(bound), float(bound - lhs), bool(lhs > bound + tol), advisory
+    )
 
 
 def np_entanglement(report: ObservableReport, tol: float = DEFAULT_TOL) -> CriterionVerdict:
     """Separable states satisfy (total-number variance + 1) * dispersion >= 1."""
     lhs = (report.n_var + 1.0) * report.d2_rel
-    return _verdict("NP_ENT", lhs, 1.0, lhs < 1.0 - tol)
+    return _below_bound("NP_ENT", lhs, 1.0, tol)
 
 
 def np_steering(report: ObservableReport, tol: float = DEFAULT_TOL) -> CriterionVerdict:
     """Non-steerable states satisfy (total-number variance + 1/4) * dispersion >= 1/4."""
     lhs = (report.n_var + 0.25) * report.d2_rel
-    return _verdict("NP_STEER", lhs, 0.25, lhs < 0.25 - tol)
+    return _below_bound("NP_STEER", lhs, 0.25, tol)
 
 
 class NaiveVerdicts(NamedTuple):
@@ -87,8 +96,8 @@ def naive_criteria(
     applicable = report.d2_rel <= NAIVE_DISPERSION_LIMIT
     advisory = None if applicable else _NAIVE_ADVISORY.format(limit=NAIVE_DISPERSION_LIMIT)
     return NaiveVerdicts(
-        _verdict("NAIVE_ENT", lhs, 2.0, lhs < 2.0 - tol, advisory),
-        _verdict("NAIVE_STEER", lhs, 1.0, lhs < 1.0 - tol, advisory),
+        _below_bound("NAIVE_ENT", lhs, 2.0, tol, advisory),
+        _below_bound("NAIVE_STEER", lhs, 1.0, tol, advisory),
         applicable,
     )
 
@@ -108,12 +117,11 @@ def hz_criteria(report: ObservableReport, tol: float = DEFAULT_TOL) -> HZVerdict
     Violation means the left-hand side exceeds the bound.
     """
     lhs = abs(report.hz_adagb) ** 2
-    bounds = {
-        "HZ_ENT": report.hz_nanb,
-        "HZ_STEER_A_BY_B": report.hz_nanb + 0.5 * report.hz_na,
-        "HZ_STEER_B_BY_A": report.hz_nanb + 0.5 * report.hz_nb,
-    }
-    return HZVerdicts(*(_verdict(cid, lhs, b, lhs > b + tol) for cid, b in bounds.items()))
+    return HZVerdicts(
+        _above_bound("HZ_ENT", lhs, report.hz_nanb, tol),
+        _above_bound("HZ_STEER_A_BY_B", lhs, report.hz_nanb + 0.5 * report.hz_na, tol),
+        _above_bound("HZ_STEER_B_BY_A", lhs, report.hz_nanb + 0.5 * report.hz_nb, tol),
+    )
 
 
 def single_mode_ur_check(
@@ -121,7 +129,7 @@ def single_mode_ur_check(
 ) -> CriterionVerdict:
     """Single-mode number-phase uncertainty product; physical states never violate it."""
     lhs = (n_var + 0.25) * d2
-    return _verdict("SM_UR", lhs, 0.25, lhs < 0.25 - tol)
+    return _below_bound("SM_UR", lhs, 0.25, tol)
 
 
 class SampledVerdicts(NamedTuple):
@@ -140,11 +148,20 @@ def sampled_np_verdicts(
     """
     if d2_se < 0:
         raise ValueError("standard error must be non-negative")
-    advisory = f"sampled: violation requires clearing the bound by {z} standard errors"
     verdicts = []
-    for cid, bound in (("NP_ENT", 1.0), ("NP_STEER", 0.25)):  # (n_var + bound) d2 >= bound
-        lhs, se = (n_var + bound) * d2_hat, (n_var + bound) * d2_se
-        verdicts.append(_verdict(cid, lhs, bound, lhs + z * se < bound, advisory))
+    for cid, shift, bound in (("NP_ENT", 1.0, 1.0), ("NP_STEER", 0.25, 0.25)):
+        lhs = (n_var + shift) * d2_hat
+        se = (n_var + shift) * d2_se
+        verdicts.append(
+            CriterionVerdict(
+                cid,
+                float(lhs),
+                float(bound),
+                float(bound - lhs),
+                bool(lhs + z * se < bound),
+                advisory=f"sampled: violation requires clearing the bound by {z} standard errors",
+            )
+        )
     return SampledVerdicts(*verdicts)
 
 

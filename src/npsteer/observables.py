@@ -236,4 +236,11 @@ def observable_report(state: State) -> ObservableReport:
     nm, e_rel, hz, edge_mass = _view_sums(state)
     disp = _dispersions(e_rel, e1, e2)
     _warn_on_edge_mass(edge_mass, EDGE_MASS_TOL)
-    return ObservableReport(*nm, e_rel, e1, e2, *disp, *hz, _quadrature_sum(nm.n_mean, ladder))
+    quad = _quadrature_sum(nm.n_mean, ladder)
+    return ObservableReport(
+        n_mean=nm.n_mean, n_var=nm.n_var, n1_var=nm.n1_var, n2_var=nm.n2_var,
+        e_rel=e_rel, e1=e1, e2=e2,
+        d2_rel=disp.d2_rel, d2_1=disp.d2_1, d2_2=disp.d2_2,
+        hz_adagb=hz.adagb, hz_nanb=hz.nanb, hz_na=hz.na, hz_nb=hz.nb,
+        quad_sum=quad,
+    )

@@ -162,10 +162,11 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     sectors are transformed a block of rows at a time, one FFT per block,
     and their profiles added one by one in sector order, so the sum has the
     bits of a loop that transforms and adds each sector on its own. The block
-    is allocated once at width K and transformed at that length into a reused
-    buffer. Each block rewrites and sign-flips only its first ``width`` columns
-    (the longest sector): past them the flip would write -0.0 into the tail,
-    which must stay the +0.0 that a length-K transform pads a short row with.
+    is allocated once at width K and transformed at that length, with no
+    ``n=`` padding. Each block rewrites and sign-flips only its first
+    ``width`` columns (the longest sector): past them the flip would write
+    -0.0 into the tail, which must stay the +0.0 that a length-K transform
+    pads a short row with.
     """
     k = grid_size
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
@@ -173,7 +174,6 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     require_array_bytes(16 * rows * k, f"grid size K={k}: the transform of {rows} sector(s)")
     width = int(np.diff(starts).max())
     pad = np.zeros((rows, k), dtype=np.complex128)
-    spec = np.empty((rows, k), dtype=np.complex128)
     power = np.empty((rows, k))
     acc = np.zeros(k)
     for first in range(0, len(bounds), rows):
@@ -185,7 +185,7 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
             row[: hi - lo] = amps[lo:hi]
         odd = head[:, 1::2]
         np.negative(odd, out=odd)  # (-1)^m moves the grid origin from 0 to -pi
-        np.abs(np.fft.fft(pad[:r], axis=1, out=spec[:r]), out=power[:r])
+        np.abs(np.fft.fft(pad[:r], axis=1), out=power[:r])
         power[:r] **= 2
         for row in power[:r]:
             acc += row  # not power.sum(axis=0): that would reorder the sum
@@ -331,7 +331,11 @@ def _sample_sector(amps: np.ndarray, u_delta, u_sum, grid_size):
     the second angle independently uniform; (delta + phi2, phi2) then has
     exactly the sector's joint law.
     """
-    k = default_grid_size(len(amps) - 1, MIN_SAMPLING_GRID) if grid_size is None else grid_size
+    k = (
+        default_grid_size(len(amps) - 1, floor=MIN_SAMPLING_GRID)
+        if grid_size is None
+        else grid_size
+    )
     profile = _summed_profiles(amps, np.array([0, len(amps)]), k)
     masses = profile / profile.sum()
     phis = phase_grid(k)
