@@ -112,13 +112,20 @@ class PureTwoModeState:
     """
 
     def __init__(self, coeffs: np.ndarray):
-        c = np.asarray(coeffs, dtype=np.complex128)
+        self._adopt(np.array(coeffs, dtype=np.complex128, order="C"))  # the caller keeps theirs
+
+    def _adopt(self, c: np.ndarray, p: np.ndarray | None = None) -> None:
+        """Keep ``c``, a grid no caller holds, read-only once its shape and norm check out.
+
+        |c|^2 is formed in ``p``, a float buffer of c's shape, if one is given.
+        """
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
             raise ValueError(f"coefficient grid must be square and non-empty, got shape {c.shape}")
-        norm = float(np.sum(np.abs(c) ** 2))
+        p = np.abs(c, out=p)
+        norm = float(np.sum(np.square(p, out=p)))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm**2 = {norm!r} deviates from 1 beyond {NORM_TOL}")
-        c = c.copy()
+        c = np.ascontiguousarray(c)  # a copy only for a grid not in C order
         c.flags.writeable = False
         self._coeffs = c
         self._sector = None
@@ -126,11 +133,19 @@ class PureTwoModeState:
     @classmethod
     def normalized(cls, coeffs: np.ndarray) -> "PureTwoModeState":
         """Build a state from an unnormalized grid by rescaling it."""
-        c = np.asarray(coeffs, dtype=np.complex128)
-        norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
+        return cls._normalized_in_place(np.array(coeffs, dtype=np.complex128))
+
+    @classmethod
+    def _normalized_in_place(cls, c: np.ndarray) -> "PureTwoModeState":
+        """``normalized`` for a complex grid no caller holds: rescaled and kept, not copied."""
+        p = np.abs(c)
+        norm = math.sqrt(float(np.sum(np.square(p, out=p))))
         if norm == 0.0:
             raise ValueError("cannot normalize an all-zero coefficient grid")
-        return cls(c / norm)
+        c /= norm
+        state = cls.__new__(cls)
+        state._adopt(c, p)
+        return state
 
     @classmethod
     def from_sector(cls, total: int, amps: np.ndarray) -> "PureTwoModeState":
@@ -148,7 +163,7 @@ class PureTwoModeState:
             n = self._sector.total
             grid = np.zeros((n + 1, n + 1), dtype=np.complex128)
             grid[np.arange(n + 1), n - np.arange(n + 1)] = self._raw
-            self._coeffs = PureTwoModeState.normalized(grid).coeffs
+            self._coeffs = PureTwoModeState._normalized_in_place(grid).coeffs
         return self._coeffs
 
     @property
@@ -166,8 +181,10 @@ class PureTwoModeState:
         first_m = np.maximum(0, totals - (k - 1))
         counts = np.minimum(totals, k - 1) - first_m + 1
         starts = np.concatenate(([0], np.cumsum(counts)))
-        m = np.arange(starts[-1]) - np.repeat(starts[:-1] - first_m, counts)
-        amps = self._coeffs[m, np.repeat(totals, counts) - m]
+        # c[m, N - m] lies at N + m (k - 1) in the flat grid, and m = i - starts[s] + first_m[s]
+        flat = np.arange(starts[-1]) * (k - 1)
+        flat += np.repeat(totals - (starts[:-1] - first_m) * (k - 1), counts)
+        amps = self._coeffs.ravel()[flat]
         kept = np.logical_or.reduceat(amps != 0, starts[:-1])
         if not kept.all():
             amps, counts = amps[np.repeat(kept, counts)], counts[kept]
@@ -422,7 +439,7 @@ def two_mode_squeezed_state(
     amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else np.eye(1)[0]
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[m, m] = amps
-    return PureTwoModeState.normalized(grid)
+    return PureTwoModeState._normalized_in_place(grid)
 
 
 @dataclass(frozen=True)
@@ -485,7 +502,8 @@ class NumberDistribution:
 
 def _trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
     """Drop outer support whose discarded mass and N^2-weighted mass both
-    stay below tail_tol per side. Returns (numbers, masses, kept_fraction).
+    stay below tail_tol per side. Returns (numbers, masses, kept_fraction),
+    the kept masses as they are in ``raw``.
 
     The masses are non-negative, so the running sums from either end never
     decrease: each cut is one search, over one running sum alive at a time.
@@ -501,11 +519,17 @@ def _trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
     lo = min(last, below(raw), below(w2))
     hi = last - min(last - lo, below(raw[::-1]), below(w2[::-1]))
     masses = raw[lo : hi + 1]
-    return numbers[lo : hi + 1], masses / masses.sum(), float(masses.sum() / raw.sum())
+    return numbers[lo : hi + 1], masses, float(masses.sum() / raw.sum())
 
 
 def _distribution_from_raw(numbers, raw, tail_tol, what, extra_meta=None) -> NumberDistribution:
     numbers, masses, kept = _trim_tails(np.asarray(numbers), np.asarray(raw, dtype=float), tail_tol)
+    if not (kept > 0.0 and math.isfinite(kept)):  # NaN-safe
+        raise TruncationError(
+            f"{what}: tail_tol={tail_tol!r} keeps N = {int(numbers[0])}..{int(numbers[-1])}, "
+            f"whose mass fraction is {kept!r}; a smaller tail_tol keeps more of the support"
+        )
+    masses = masses / masses.sum()
     require_array_bytes(
         SUPPORT_POINT_BYTES * len(numbers),
         f"{what}: the dict of {len(numbers):,} support points "

@@ -116,7 +116,9 @@ def exp_phase_single(state: State, mode: int) -> complex:
     if c is None:
         return 0j
     c = c if mode == 1 else c.T
-    return complex(np.sum(np.conj(c[:-1, :]) * c[1:, :]))
+    pairs = np.conj(c[:-1, :])
+    pairs *= c[1:, :]
+    return complex(np.sum(pairs))
 
 
 def _dispersions(e_rel: complex, e1: complex, e2: complex) -> Dispersions:
@@ -141,9 +143,16 @@ def _ladder_moments(state: State) -> tuple[complex, complex, complex]:
     if c is None:
         return 0j, 0j, 0j
     root = np.sqrt(np.arange(1, len(c), dtype=float))
-    a1, a2 = (complex(np.sum(root[:, None] * np.conj(g[:-1, :]) * g[1:, :])) for g in (c, c.T))
-    a1a2 = complex(np.sum(root[:, None] * root[None, :] * np.conj(c[:-1, :-1]) * c[1:, 1:]))
-    return a1, a2, a1a2
+
+    def weighted_sum(weight: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> complex:
+        # (weight * conj(lower)) * upper, in place: a complex times a real commutes exactly
+        terms = np.conj(lower)
+        terms *= weight
+        terms *= upper
+        return complex(np.sum(terms))
+
+    a1, a2 = (weighted_sum(root[:, None], g[:-1, :], g[1:, :]) for g in (c, c.T))
+    return a1, a2, weighted_sum(root[:, None] * root[None, :], c[:-1, :-1], c[1:, 1:])
 
 
 def _warn_on_edge_mass(edge_mass: float, edge_tol: float) -> None:
@@ -171,20 +180,6 @@ def quadrature_sum_variance(state: State, edge_tol: float = EDGE_MASS_TOL) -> fl
     nm, _, _, edge_mass = _view_sums(state)
     _warn_on_edge_mass(edge_mass, edge_tol)
     return _quadrature_sum(nm.n_mean, ladder)
-
-
-def single_mode_moments(amps: np.ndarray) -> tuple[float, float, float]:
-    """(n_mean, n_var, d2) for a normalized single-mode amplitude vector."""
-    a = np.asarray(amps, dtype=np.complex128)
-    p = np.abs(a) ** 2
-    total = p.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"amplitudes norm**2 = {total!r}, expected 1")
-    n = np.arange(len(a), dtype=float)
-    mean = float(np.dot(p, n))
-    var = float(np.dot(p, n * n)) - mean * mean
-    e = complex(np.sum(np.conj(a[:-1]) * a[1:]))
-    return mean, var, _clip_unit(1.0 - abs(e) ** 2)
 
 
 @dataclass(frozen=True)

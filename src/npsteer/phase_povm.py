@@ -226,15 +226,6 @@ def joint_local_phase_density(
     return JointPhaseDensity(phase_grid(k), values)
 
 
-def relative_marginal_from_joint(joint: JointPhaseDensity) -> PhaseDensity:
-    """Integrate the joint density along phi2 at fixed difference phi1 - phi2."""
-    k = joint.grid_size
-    j = np.arange(k)
-    rows = (j[None, :] + j[:, None] - k // 2) % k  # rows[d, j] = index of phi1 = delta_d + phi_j
-    values = joint.values[rows, j[None, :]].sum(axis=1) * joint.spacing
-    return PhaseDensity(joint.phis, values)
-
-
 class DispersionEstimate(NamedTuple):
     d2_hat: float
     std_error: float
@@ -561,8 +552,3 @@ def write_samples_csv(path, samples1: SampleSet, samples2: SampleSet) -> None:
     start = samples1.start_shot
     shot_index = np.arange(start, start + samples1.shots)
     _write_csv(path, "shot_index,phi1,phi2", (shot_index, samples1.phis, samples2.phis))
-
-
-def write_density_csv(path, density: PhaseDensity) -> None:
-    """Write a phase density as CSV rows (phi, p)."""
-    _write_csv(path, "phi,p", (density.phis, density.values))

@@ -11,7 +11,18 @@ import math
 
 import numpy as np
 
-from npsteer import NumberDistribution, PureTwoModeState, SectorMixture, mixture_from_sector_amplitudes
+from npsteer import (
+    JointPhaseDensity,
+    NumberDistribution,
+    PhaseDensity,
+    PureTwoModeState,
+    SectorMixture,
+    mixture_from_sector_amplitudes,
+    two_mode_squeezed_state,
+)
+from npsteer.fock import SectorView
+from npsteer.observables import _clip_unit
+from npsteer.phase_povm import _write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,3 +293,84 @@ def oracle_samples_csv(samples1, samples2) -> str:
 def csv_row(report) -> list[str]:
     """A report's fields as CSV cells in REPORT_FIELDS order, each the repr of a float."""
     return [repr(float(x)) for x in report.to_json_dict().values()]
+
+
+def single_mode_moments(amps: np.ndarray) -> tuple[float, float, float]:
+    """(n_mean, n_var, d2) for a normalized single-mode amplitude vector."""
+    a = np.asarray(amps, dtype=np.complex128)
+    p = np.abs(a) ** 2
+    total = p.sum()
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"amplitudes norm**2 = {total!r}, expected 1")
+    n = np.arange(len(a), dtype=float)
+    mean = float(np.dot(p, n))
+    var = float(np.dot(p, n * n)) - mean * mean
+    e = complex(np.sum(np.conj(a[:-1]) * a[1:]))
+    return mean, var, _clip_unit(1.0 - abs(e) ** 2)
+
+
+def relative_marginal_from_joint(joint: JointPhaseDensity) -> PhaseDensity:
+    """Integrate the joint density along phi2 at fixed difference phi1 - phi2."""
+    k = joint.grid_size
+    j = np.arange(k)
+    rows = (j[None, :] + j[:, None] - k // 2) % k  # rows[d, j] = index of phi1 = delta_d + phi_j
+    values = joint.values[rows, j[None, :]].sum(axis=1) * joint.spacing
+    return PhaseDensity(joint.phis, values)
+
+
+def write_density_csv(path, density: PhaseDensity) -> None:
+    """Write a phase density as CSV rows (phi, p), through the package's CSV writer."""
+    _write_csv(path, "phi,p", (density.phis, density.values))
+
+
+# The grid-state expressions as they were before each product was formed once in place, and
+# the grid states they are checked on: squeezed states and random complex grids of side D.
+
+
+def _random_grid_state(k: int) -> PureTwoModeState:
+    rng = np.random.default_rng(k)
+    return PureTwoModeState.normalized(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+
+
+GRID_CASES = {
+    "tmss-r0.5": lambda: two_mode_squeezed_state(0.5),
+    "tmss-r2": lambda: two_mode_squeezed_state(2.0),
+    **{f"random-D{k}": (lambda k=k: _random_grid_state(k)) for k in (1, 2, 37, 300)},
+}
+
+
+def oracle_exp_phase_single(c: np.ndarray, mode: int) -> complex:
+    """<E_mode> of a grid state: one fresh conjugate, one fresh product."""
+    c = c if mode == 1 else c.T
+    return complex(np.sum(np.conj(c[:-1, :]) * c[1:, :]))
+
+
+def oracle_ladder_moments(c: np.ndarray) -> tuple[complex, complex, complex]:
+    """<a1>, <a2>, <a1 a2> of a grid state, each product formed in a chain of fresh arrays."""
+    root = np.sqrt(np.arange(1, len(c), dtype=float))
+    a1, a2 = (complex(np.sum(root[:, None] * np.conj(g[:-1, :]) * g[1:, :])) for g in (c, c.T))
+    a1a2 = complex(np.sum(root[:, None] * root[None, :] * np.conj(c[:-1, :-1]) * c[1:, 1:]))
+    return a1, a2, a1a2
+
+
+def oracle_normalized_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """The grid ``PureTwoModeState.normalized`` kept: divided into a fresh grid, then copied."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
+    return (c / norm).copy()
+
+
+def oracle_grid_view(c: np.ndarray) -> SectorView:
+    """A grid state's sector view, gathered with a 2-D (m, N - m) fancy index."""
+    k = len(c)
+    totals = np.arange(2 * k - 1)
+    first_m = np.maximum(0, totals - (k - 1))
+    counts = np.minimum(totals, k - 1) - first_m + 1
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    m = np.arange(starts[-1]) - np.repeat(starts[:-1] - first_m, counts)
+    amps = c[m, np.repeat(totals, counts) - m]
+    kept = np.logical_or.reduceat(amps != 0, starts[:-1])
+    if not kept.all():
+        amps, counts = amps[np.repeat(kept, counts)], counts[kept]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+    return SectorView(amps, starts, totals[kept], first_m[kept])

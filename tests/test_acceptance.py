@@ -29,9 +29,7 @@ from npsteer import (
     observable_report,
     poissonian_distribution,
     quadrature_sum_variance,
-    relative_marginal_from_joint,
     relative_phase_density,
-    single_mode_moments,
     single_mode_ur_check,
     split_fock_state,
     thermal_distribution,
@@ -39,7 +37,10 @@ from npsteer import (
 )
 from npsteer.cli import main as cli_main
 
-from oracles import oracle_moments, rand_mixture, rand_pure, rand_product
+from oracles import (
+    oracle_moments, rand_mixture, rand_product, rand_pure, relative_marginal_from_joint,
+    single_mode_moments,
+)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::npsteer.observables.TruncationBiasWarning"

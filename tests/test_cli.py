@@ -201,6 +201,19 @@ class TestEval:
         assert err.startswith("error: std = 1e-300 is too small")
         assert out == ""
 
+    def test_noise_trimmed_to_zero_mass_exits_three_naming_noise_and_tail_tol(self, capsys):
+        spec = ('{"family": "mixture", "base": "number_phase", '
+                '"noise": {"kind": "gaussian", "mean": 0.5, "std": 0.1}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--state", spec, "--tail-tol", "0.1")
+        assert code == 3
+        assert err.startswith(
+            "error: truncation unattainable: gaussian noise mean=0.5, std=0.1: tail_tol=0.1 keeps"
+        )
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert out == ""
+
     def test_squeezing_beyond_double_precision_exits_three(self, capsys):
         code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 20}')
         assert code == 3
@@ -592,6 +605,32 @@ class TestCurves:
         path = tmp_path / "no" / "such" / "curves.csv"
         code, out, err = run(capsys, "curves", "--out", str(path))
         assert_cannot_write(code, out, err, path)
+
+
+class TestParserCache:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, capsys):
+        plain = ("eval", "--state", POISSON3)
+        cli.build_parser.cache_clear()
+        alone = run(capsys, *plain)
+        cli.build_parser.cache_clear()
+        flagged = run(capsys, *plain, "--grid", "128", "--tail-tol", "1e-6")
+        assert flagged != alone  # the flags change the output, so a leak would show
+        assert run(capsys, *plain) == alone
+
+    @pytest.mark.parametrize("command", [None, "eval", "sweep", "sample", "curves"])
+    def test_help_equals_that_of_an_uncached_parser(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        run(capsys, "eval", "--state", NP1)  # the cached parser has parsed before
+        texts = []
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: npsteer")
 
 
 def test_unknown_subcommand_is_a_parser_error():

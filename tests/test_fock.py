@@ -35,8 +35,11 @@ from npsteer import (
 )
 
 from oracles import (
+    GRID_CASES,
     joined,
+    oracle_grid_view,
     oracle_mixture,
+    oracle_normalized_coeffs,
     oracle_number_phase_amps,
     oracle_split_fock_amps,
     oracle_trim_tails,
@@ -80,6 +83,52 @@ class TestPureTwoModeState:
     def test_normalized_rejects_zero_grid(self):
         with pytest.raises(ValueError, match="zero"):
             PureTwoModeState.normalized(np.zeros((2, 2), dtype=complex))
+
+    def test_rejects_an_infinite_grid(self):
+        c = np.zeros((3, 3), dtype=complex)
+        c[0, 0], c[1, 2] = 0.5, np.inf
+        with pytest.raises(ValueError, match="norm"):
+            PureTwoModeState(c)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="norm"):
+            PureTwoModeState.normalized(c)  # inf / inf rescales to NaN
+
+    def test_constructor_keeps_a_copy_of_the_callers_grid(self, rng):
+        arr = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        arr /= np.linalg.norm(arr)
+        want = arr.copy()
+        state = PureTwoModeState(arr)
+        arr[0, 0] = 7.0
+        assert state.coeffs.tobytes() == want.tobytes()
+        assert arr.flags.writeable
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 2, 14, 37, 300])
+    def test_normalized_keeps_the_bits_and_leaves_the_callers_grid(self, k, order):
+        # the norm of a grid is summed in its memory order: for the F-ordered D=14 grid a
+        # C-ordered copy would give other bits
+        rng = np.random.default_rng(k)
+        raw = np.asarray(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)), order=order)
+        before = raw.copy(order="K")
+        state = PureTwoModeState.normalized(raw)
+        assert state.coeffs.tobytes() == oracle_normalized_coeffs(raw).tobytes()
+        assert state.coeffs.flags.c_contiguous and not state.coeffs.flags.writeable
+        assert raw.tobytes() == before.tobytes() and raw.flags.writeable
+
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_squeezed_grid_is_the_normalized_raw_grid(self, r):
+        state = two_mode_squeezed_state(r)
+        m = np.arange(state.cutoff + 1)
+        raw = np.zeros((len(m), len(m)), dtype=complex)
+        raw[m, m] = np.exp(m * math.log(math.tanh(r))) / math.cosh(r)
+        assert state.coeffs.tobytes() == oracle_normalized_coeffs(raw).tobytes()
+
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_flat_gather_view_equals_the_2d_gather(self, case):
+        state = GRID_CASES[case]()
+        got, want = state.sector_view, oracle_grid_view(state.coeffs)
+        assert got.amps.tobytes() == want.amps.tobytes()
+        for name in ("starts", "totals", "first_m"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_sector_amplitudes_cover_out_of_grid_region(self):
         state = number_phase_state(2, 0.3)
@@ -527,9 +576,11 @@ def test_binomial_table_grows_on_demand_with_exact_rows(monkeypatch):
 
 
 def assert_trim_matches_the_loop(numbers, raw, tail_tol):
+    kept, masses, fraction = fock._trim_tails(numbers, raw, tail_tol)
+    # the trim returns the raw kept masses and _distribution_from_raw normalizes them;
     # a kept point of zero mass normalizes to NaN on both sides
     with np.errstate(invalid="ignore"):
-        got = fock._trim_tails(numbers, raw, tail_tol)
+        got = kept, masses / masses.sum(), fraction
         want = oracle_trim_tails(numbers, raw, tail_tol)
     assert np.array_equal(got[0], want[0])
     assert got[1].tobytes() == want[1].tobytes()

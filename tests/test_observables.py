@@ -21,14 +21,24 @@ from npsteer import (
     observable_report,
     poissonian_distribution,
     quadrature_sum_variance,
-    single_mode_moments,
     split_fock_state,
     thermal_distribution,
     two_mode_squeezed_state,
 )
 
-from npsteer import fock
-from oracles import csv_row, oracle_moments, rand_mixture, rand_product, rand_pure, rand_single
+from npsteer import fock, observables
+from oracles import (
+    GRID_CASES,
+    csv_row,
+    oracle_exp_phase_single,
+    oracle_ladder_moments,
+    oracle_moments,
+    rand_mixture,
+    rand_product,
+    rand_pure,
+    rand_single,
+    single_mode_moments,
+)
 
 
 def split_fock_exp_phase(n: int) -> float:
@@ -62,6 +72,14 @@ class TestNumberMoments:
         want = oracle_moments(mix)
         assert nm.n1_var == pytest.approx(want["n1_var"], abs=1e-12)
         assert nm.n2_var == pytest.approx(want["n2_var"], abs=1e-12)
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_products_formed_in_place_keep_the_bits(case):
+    state = GRID_CASES[case]()
+    for mode in (1, 2):
+        assert exp_phase_single(state, mode) == oracle_exp_phase_single(state.coeffs, mode)
+    assert observables._ladder_moments(state) == oracle_ladder_moments(state.coeffs)
 
 
 class TestExpPhase:

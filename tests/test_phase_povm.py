@@ -26,7 +26,6 @@ from npsteer import (
     nyquist_minimum,
     phase_grid,
     poissonian_distribution,
-    relative_marginal_from_joint,
     relative_phase_density,
     sample_local_phases,
     split_fock_state,
@@ -34,7 +33,6 @@ from npsteer import (
     TruncationError,
     two_mode_squeezed_state,
     wrap_angle,
-    write_density_csv,
     write_samples_csv,
 )
 
@@ -50,6 +48,8 @@ from oracles import (
     rand_mixture,
     rand_pure,
     rand_single,
+    relative_marginal_from_joint,
+    write_density_csv,
 )
 
 
@@ -591,13 +591,23 @@ class TestThreadedBootstrap:
         monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
         s1, s2 = odd_samples
         z = np.exp(1j * (s1.phis - s2.phis))
+        joining = threading.Event()
+
+        class JoinSignallingThread(threading.Thread):
+            def join(self, timeout=None):
+                joining.set()  # the caller has stopped the work and now waits for the helper
+                super().join(timeout)
 
         class CountingRng:
             draws = 0
 
             def integers(self, *args):
                 self.draws += 1
+                if self.draws == 2:  # whatever the scheduling, the helper's second draw
+                    joining.wait(10.0)  # returns only once the caller has failed
                 return np.random.default_rng(0).integers(*args)
+
+        monkeypatch.setattr(phase_povm.threading, "Thread", JoinSignallingThread)
 
         def failing_writer():
             raise OSError("disk full")
@@ -609,7 +619,8 @@ class TestThreadedBootstrap:
             phase_povm._bootstrap_values(z, rng, 10_000, failing_writer)
         assert threading.active_count() == threads
         assert sys.getswitchinterval() == interval
-        assert rng.draws < 100  # the helper stopped after its current resample
+        assert joining.is_set()
+        assert rng.draws <= 2  # the helper stopped after its current resample
 
     @pytest.mark.parametrize("chunk_rows", [phase_povm.CSV_CHUNK_ROWS, 7])
     def test_chunked_csv_writer_keeps_the_row_bytes(self, monkeypatch, tmp_path, chunk_rows):
