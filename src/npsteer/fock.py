@@ -102,13 +102,40 @@ def _weighted_view(
     return SectorView(scaled, starts, totals[kept], np.zeros(len(counts), dtype=np.int64))
 
 
+def _check_norm(norm: float) -> None:
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state norm**2 = {norm!r} deviates from 1 beyond {NORM_TOL}")
+
+
+def _diagonal_sum(terms: np.ndarray):
+    """np.sum of a zero-filled n x n array holding the n ``terms`` down its diagonal.
+
+    A diagonal grid's products form such an array, all other entries +0.0; summed as
+    the whole array, the pairwise tree, and so every bit of the sum, is the grid's.
+    """
+    dense = np.zeros((len(terms), len(terms)), dtype=terms.dtype)
+    np.fill_diagonal(dense, terms)
+    return np.sum(dense)
+
+
+def _anti_diagonals(k: int, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """first_m and length of each anti-diagonal N in ``totals`` of a k x k grid.
+
+    Anti-diagonal N holds c[m, N - m] for max(0, N - k + 1) <= m <= min(N, k - 1).
+    """
+    first_m = np.maximum(0, totals - (k - 1))
+    return first_m, np.minimum(totals, k - 1) - first_m + 1
+
+
 class PureTwoModeState:
     """Pure state on the product of two truncated Fock spaces.
 
     ``coeffs[m, n]`` is the amplitude on ``|m>|n>``. The grid is square,
-    unit-norm within ``NORM_TOL`` and read-only. A state built with
-    ``from_sector`` lives in one total-number sector: it stores that
-    anti-diagonal only and builds the grid the first time ``coeffs`` is read.
+    unit-norm within ``NORM_TOL`` and read-only. Two kinds of state store
+    less and build the grid the first time ``coeffs`` is read: a state built
+    with ``from_sector`` lives in one total-number sector and stores that
+    anti-diagonal; a squeezed state stores its diagonal, and forms its sector
+    view and every ``lowering_sum`` from it with the bits of its grid's.
     """
 
     def __init__(self, coeffs: np.ndarray):
@@ -122,13 +149,10 @@ class PureTwoModeState:
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
             raise ValueError(f"coefficient grid must be square and non-empty, got shape {c.shape}")
         p = np.abs(c, out=p)
-        norm = float(np.sum(np.square(p, out=p)))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm**2 = {norm!r} deviates from 1 beyond {NORM_TOL}")
+        _check_norm(float(np.sum(np.square(p, out=p))))
         c = np.ascontiguousarray(c)  # a copy only for a grid not in C order
         c.flags.writeable = False
-        self._coeffs = c
-        self._sector = None
+        self._coeffs, self._sector, self._diagonal, self._cutoff = c, None, None, len(c) - 1
 
     @classmethod
     def normalized(cls, coeffs: np.ndarray) -> "PureTwoModeState":
@@ -152,34 +176,60 @@ class PureTwoModeState:
         """The state with amplitudes ``amps[m]`` on |m>|total - m>, normalized here."""
         raw = np.array(amps, dtype=np.complex128)
         state = cls.__new__(cls)
-        state._coeffs = None
+        state._coeffs, state._diagonal, state._cutoff = None, None, total
         state._sector = SectorState(total, raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
         state._raw = raw  # the grid is built from these, as a dense construction would
+        return state
+
+    @classmethod
+    def _from_diagonal(cls, amps: np.ndarray) -> "PureTwoModeState":
+        """The state with amplitudes ``amps[m]`` on |m>|m>, normalized as ``normalized`` does
+        its grid: the norm and its check are that grid's sums, taken by ``_diagonal_sum``."""
+        d = np.array(amps, dtype=np.complex128)
+        p = np.abs(d)
+        norm = math.sqrt(float(_diagonal_sum(np.square(p, out=p))))
+        if norm == 0.0:
+            raise ValueError("cannot normalize an all-zero coefficient grid")
+        d /= norm
+        _check_norm(float(_diagonal_sum(np.square(np.abs(d, out=p), out=p))))
+        d.flags.writeable = False
+        state = cls.__new__(cls)
+        state._coeffs, state._sector, state._diagonal, state._cutoff = None, None, d, len(d) - 1
         return state
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            n = self._sector.total
-            grid = np.zeros((n + 1, n + 1), dtype=np.complex128)
-            grid[np.arange(n + 1), n - np.arange(n + 1)] = self._raw
-            self._coeffs = PureTwoModeState._normalized_in_place(grid).coeffs
+            k = self._cutoff + 1
+            grid = np.zeros((k, k), dtype=np.complex128)
+            if self._diagonal is not None:
+                np.fill_diagonal(grid, self._diagonal)
+                grid.flags.writeable = False
+                self._coeffs = grid
+            else:
+                grid[np.arange(k), k - 1 - np.arange(k)] = self._raw
+                self._coeffs = PureTwoModeState._normalized_in_place(grid).coeffs
         return self._coeffs
 
     @property
     def cutoff(self) -> int:
-        return len(self._coeffs) - 1 if self._sector is None else self._sector.total
+        return self._cutoff
 
     @cached_property
     def sector_view(self) -> SectorView:
+        k = self._cutoff + 1
         if self._sector is not None:
-            n = self._sector.total
-            return _weighted_view(self._sector.amps, np.array([0, n + 1]), np.array([n]), np.ones(1))
-        # anti-diagonal N holds c[m, N - m] for max(0, N - k + 1) <= m <= min(N, k - 1)
-        k = len(self._coeffs)
+            return _weighted_view(self._sector.amps, np.array([0, k]), np.array([k - 1]), np.ones(1))
+        if self._diagonal is not None:
+            # c[m, m] is entry m - first_m of sector 2m, the only nonzero one there
+            m = np.flatnonzero(self._diagonal)
+            first_m, counts = _anti_diagonals(k, 2 * m)
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            amps = np.zeros(starts[-1], dtype=np.complex128)
+            amps[starts[:-1] + m - first_m] = self._diagonal[m]
+            return SectorView(amps, starts, 2 * m, first_m)
         totals = np.arange(2 * k - 1)
-        first_m = np.maximum(0, totals - (k - 1))
-        counts = np.minimum(totals, k - 1) - first_m + 1
+        first_m, counts = _anti_diagonals(k, totals)
         starts = np.concatenate(([0], np.cumsum(counts)))
         # c[m, N - m] lies at N + m (k - 1) in the flat grid, and m = i - starts[s] + first_m[s]
         flat = np.arange(starts[-1]) * (k - 1)
@@ -190,6 +240,31 @@ class PureTwoModeState:
             amps, counts = amps[np.repeat(kept, counts)], counts[kept]
             starts = np.concatenate(([0], np.cumsum(counts)))
         return SectorView(amps, starts, totals[kept], first_m[kept])
+
+    def lowering_sum(self, i: int, j: int, weight: np.ndarray | None = None) -> complex:
+        """Sum over the grid of conj(c[m, n]) w c[m + i, n + j], for i, j in {0, 1}, not both 0.
+
+        w = weight[m]^i weight[n]^j, or 1 without a weight: <E1^i E2^j>, or <a1^i a2^j>
+        for weight[m] = sqrt(m + 1). The products form one C-ordered (K - i) x (K - j)
+        array, K = cutoff + 1, summed by np.sum.
+        """
+        k = self._cutoff + 1
+        if self._diagonal is not None:
+            if i != j:  # then no product is nonzero, and a sum of +0.0 is +0.0
+                return 0j
+            d = self._diagonal
+            terms = np.conj(d[: k - i])
+            if weight is not None:
+                terms *= weight[: k - i] * weight[: k - i]
+            terms *= d[i:]
+            return complex(_diagonal_sum(terms))
+        c = self.coeffs
+        terms = np.conj(c[: k - i, : k - j])
+        if weight is not None:
+            rows, cols = weight[: k - i, None], weight[None, : k - j]
+            terms *= rows * cols if i and j else rows if i else cols
+        terms *= c[i:, j:]
+        return complex(np.sum(terms))
 
     def total_mass(self) -> float:
         return float(np.sum(np.abs(self.sector_view.amps) ** 2))
@@ -403,6 +478,31 @@ def _tmss_weighted_tail(r: float, cutoff: int) -> float:
     return s2 + 2.0 * n_mean * s1 + 3.0 * mass * (n_sq + 1.0)
 
 
+def _tmss_moment_cutoff(r: float, tail_tol: float) -> int:
+    """Smallest cutoff from ``select_cutoff(r, tail_tol)`` on whose weighted tail is below
+    tail_tol: a doubling search for a cutoff that meets it, then a bisection.
+
+    The bound is lam^k P(k) with k = cutoff + 1, g = lam / (1 - lam) and
+    P(k) = 4k^2 + 16gk + 40g^2 + 16g + 3. As 1 / lam = 1 + 1 / g, lam P(k + 1) < P(k)
+    comes down to 4k^2 + 8gk + 24g^2 + 12g + 3 > 0, true for every k: the bound falls
+    with every step of the cutoff, by a factor below 1 - (1 - lam) / 2. That outweighs
+    the rounding of its few operations while 1 - lam is far above 1e-15 (r below about
+    15), so the search returns the cutoff a scan step by step would.
+    """
+    lo = select_cutoff(r, tail_tol)
+    if _tmss_weighted_tail(r, lo) < tail_tol:
+        return lo
+    step = 1
+    while _tmss_weighted_tail(r, lo + step) >= tail_tol:
+        lo += step
+        step *= 2
+    hi = lo + step  # the bound is >= tail_tol at lo, below it at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _tmss_weighted_tail(r, mid) < tail_tol else (mid, hi)
+    return hi
+
+
 def two_mode_squeezed_state(
     r: float, cutoff: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> PureTwoModeState:
@@ -412,15 +512,16 @@ def two_mode_squeezed_state(
     of the total-number moments (not just the raw mass) stays below
     tail_tol. An explicit cutoff must keep the tail mass below tail_tol,
     otherwise a TruncationError reports the smallest admissible cutoff.
+    The state stores its cutoff + 1 diagonal amplitudes; its grid is built
+    only when ``coeffs`` is read, yet it is held to the grid's size limit,
+    since its sums span arrays of the grid's length.
     """
     if r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
     if tail_tol <= 0:
         raise ValueError("tail tolerance must be positive")
     if cutoff is None:
-        cutoff = select_cutoff(r, tail_tol)
-        while _tmss_weighted_tail(r, cutoff) >= tail_tol:
-            cutoff += 1
+        cutoff = _tmss_moment_cutoff(r, tail_tol)
     else:
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
@@ -437,9 +538,8 @@ def two_mode_squeezed_state(
     )
     m = np.arange(cutoff + 1)
     amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else np.eye(1)[0]
-    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    grid[m, m] = amps
-    return PureTwoModeState._normalized_in_place(grid)
+    # at r = 0 the one amplitude fills the whole diagonal, as it filled the grid's
+    return PureTwoModeState._from_diagonal(np.broadcast_to(amps, cutoff + 1))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Moments that conserve the total number are sums within sectors over the
 state's ``sector_view``, one code path for grid states and mixtures.
 Operators that change the total number couple sectors; only a pure state
 spread over several sectors has such coherence, and those moments are
-shift-sums over its coefficient grid. No dense operators are built.
+shift-sums over its coefficient grid, which the state takes itself
+(``PureTwoModeState.lowering_sum``). No dense operators are built.
 """
 from __future__ import annotations
 
@@ -49,12 +50,10 @@ def _clip_unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _coherent_grid(state: State) -> np.ndarray | None:
-    """The grid of a pure state spread over several sectors, the only states
-    with coherence between sectors; None for every other state."""
-    if isinstance(state, PureTwoModeState) and len(state.sector_view.starts) > 2:
-        return state.coeffs
-    return None
+def _is_coherent(state: State) -> bool:
+    """True for a pure state spread over several sectors, the only states with
+    coherence between sectors."""
+    return isinstance(state, PureTwoModeState) and len(state.sector_view.starts) > 2
 
 
 def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
@@ -112,13 +111,9 @@ def exp_phase_single(state: State, mode: int) -> complex:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    c = _coherent_grid(state)
-    if c is None:
+    if not _is_coherent(state):
         return 0j
-    c = c if mode == 1 else c.T
-    pairs = np.conj(c[:-1, :])
-    pairs *= c[1:, :]
-    return complex(np.sum(pairs))
+    return state.lowering_sum(*((1, 0) if mode == 1 else (0, 1)))
 
 
 def _dispersions(e_rel: complex, e1: complex, e2: complex) -> Dispersions:
@@ -139,20 +134,10 @@ def hz_moments(state: State) -> HZMoments:
 
 def _ladder_moments(state: State) -> tuple[complex, complex, complex]:
     """<a1>, <a2>, <a1 a2>: the quadrature terms that change the total number."""
-    c = _coherent_grid(state)
-    if c is None:
+    if not _is_coherent(state):
         return 0j, 0j, 0j
-    root = np.sqrt(np.arange(1, len(c), dtype=float))
-
-    def weighted_sum(weight: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> complex:
-        # (weight * conj(lower)) * upper, in place: a complex times a real commutes exactly
-        terms = np.conj(lower)
-        terms *= weight
-        terms *= upper
-        return complex(np.sum(terms))
-
-    a1, a2 = (weighted_sum(root[:, None], g[:-1, :], g[1:, :]) for g in (c, c.T))
-    return a1, a2, weighted_sum(root[:, None] * root[None, :], c[:-1, :-1], c[1:, 1:])
+    root = np.sqrt(np.arange(1, state.cutoff + 1, dtype=float))
+    return tuple(state.lowering_sum(i, j, root) for i, j in ((1, 0), (0, 1), (1, 1)))
 
 
 def _warn_on_edge_mass(edge_mass: float, edge_tol: float) -> None:

@@ -18,9 +18,10 @@ from npsteer import (
     PureTwoModeState,
     SectorMixture,
     mixture_from_sector_amplitudes,
+    select_cutoff,
     two_mode_squeezed_state,
 )
-from npsteer.fock import SectorView
+from npsteer.fock import NORM_TOL, SectorView, _tmss_weighted_tail
 from npsteer.observables import _clip_unit
 from npsteer.phase_povm import _write_csv
 
@@ -374,3 +375,46 @@ def oracle_grid_view(c: np.ndarray) -> SectorView:
         amps, counts = amps[np.repeat(kept, counts)], counts[kept]
         starts = np.concatenate(([0], np.cumsum(counts)))
     return SectorView(amps, starts, totals[kept], first_m[kept])
+
+
+# The squeezed state as it was built before it stored its diagonal: the amplitudes on a zero
+# grid, normalized in place with the norm and its check summed over the grid; its grid moments
+# formed in place, mode 2 through the transposed grid; its cutoff found by a scan.
+
+
+def oracle_squeezed_grid(r: float, cutoff: int) -> np.ndarray:
+    """The normalized grid of ``two_mode_squeezed_state(r, cutoff)``, built densely."""
+    m = np.arange(cutoff + 1)
+    amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else np.eye(1)[0]
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    grid[m, m] = amps
+    p = np.abs(grid)
+    norm = math.sqrt(float(np.sum(np.square(p, out=p))))
+    grid /= norm
+    p = np.abs(grid, out=p)
+    assert abs(float(np.sum(np.square(p, out=p))) - 1.0) <= NORM_TOL
+    return grid
+
+
+def oracle_grid_moments_in_place(c: np.ndarray) -> tuple[complex, ...]:
+    """E1, E2, <a1>, <a2>, <a1 a2> of a grid, each product formed in place in one array."""
+
+    def weighted_sum(weight, lower, upper) -> complex:
+        terms = np.conj(lower)
+        if weight is not None:
+            terms *= weight
+        terms *= upper
+        return complex(np.sum(terms))
+
+    root = np.sqrt(np.arange(1, len(c), dtype=float))
+    e1, e2 = (weighted_sum(None, g[:-1, :], g[1:, :]) for g in (c, c.T))
+    a1, a2 = (weighted_sum(root[:, None], g[:-1, :], g[1:, :]) for g in (c, c.T))
+    return e1, e2, a1, a2, weighted_sum(root[:, None] * root[None, :], c[:-1, :-1], c[1:, 1:])
+
+
+def oracle_tmss_cutoff_scan(r: float, tail_tol: float) -> int:
+    """The automatic squeezed-state cutoff, raised one step at a time from select_cutoff."""
+    cutoff = select_cutoff(r, tail_tol)
+    while _tmss_weighted_tail(r, cutoff) >= tail_tol:
+        cutoff += 1
+    return cutoff

@@ -3,11 +3,12 @@ import json
 import math
 import sys
 import threading
+import time
 import warnings
 
 import pytest
 
-from npsteer import REPORT_FIELDS, cli, phase_povm
+from npsteer import REPORT_FIELDS, PureTwoModeState, cli, phase_povm
 from npsteer.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
 
 # The criteria `eval` reports, in the order of its lines, payload and CSV columns.
@@ -213,6 +214,31 @@ class TestEval:
         )
         assert "Traceback" not in err and err.count("\n") == 1
         assert out == ""
+
+    def test_squeezed_cutoff_over_the_array_limit_is_found_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 7}')
+        assert time.perf_counter() - start < 1.0  # the step-by-step scan took 3 s and more
+        assert code == 3
+        assert err == (
+            "error: array too large: squeezing r=7.0 at cutoff 17384861: the 17384862 x 17384862 "
+            "amplitude grid needs 4,835,734,828,144,704 bytes, over the 1,073,741,824-byte limit "
+            "on one array\n"
+        )
+        assert out == ""
+
+    def test_squeezed_state_eval_and_sweep_build_no_grid(self, capsys, monkeypatch, tmp_path):
+        def no_grid(state):
+            raise AssertionError("the coefficient grid was built")
+
+        monkeypatch.setattr(PureTwoModeState, "coeffs", property(no_grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(capsys, "eval", "--state", '{"family": "tmss", "r": 2.0}')[0] == 0
+            assert run(capsys, "sweep", "--state", TMSS1, "--sweep", "r:0.25:1.5:0.25",
+                       "--out", str(tmp_path / "sweep.csv"))[0] == 0
+        with pytest.raises(AssertionError, match="grid was built"):
+            PureTwoModeState.from_sector(1, [1.0, 1.0]).coeffs
 
     def test_squeezing_beyond_double_precision_exits_three(self, capsys):
         code, out, err = run(capsys, "eval", "--state", '{"family": "tmss", "r": 20}')

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import npsteer
-from npsteer import fock
+from npsteer import fock, observables
 from npsteer import (
     ArraySizeError,
     NumberDistribution,
@@ -20,6 +20,7 @@ from npsteer import (
     SectorState,
     TruncationError,
     gaussian_distribution,
+    joint_local_phase_density,
     mixture_from_sector_amplitudes,
     mixture_over_sectors,
     number_phase_state,
@@ -37,9 +38,12 @@ from npsteer import (
 from oracles import (
     GRID_CASES,
     joined,
+    oracle_grid_moments_in_place,
     oracle_grid_view,
     oracle_mixture,
     oracle_normalized_coeffs,
+    oracle_squeezed_grid,
+    oracle_tmss_cutoff_scan,
     oracle_number_phase_amps,
     oracle_split_fock_amps,
     oracle_trim_tails,
@@ -295,6 +299,100 @@ class TestTwoModeSqueezed:
     def test_negative_squeezing_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             two_mode_squeezed_state(-0.1)
+
+    @settings(max_examples=300)
+    @given(r=st.floats(0.001, 3.5), log_tol=st.floats(-14.0, math.log10(0.9)))
+    def test_cutoff_search_returns_the_cutoff_of_the_scan(self, r, log_tol):
+        tol = 10.0**log_tol
+        assert fock._tmss_moment_cutoff(r, tol) == oracle_tmss_cutoff_scan(r, tol)
+
+    @pytest.mark.parametrize("r,tol", [(0.0, 1e-10), (1e-3, 1e-10), (2.0, 1e-10), (3.5, 1e-14),
+                                       (1.0, 0.9), (0.3, 1e-3)])
+    def test_cutoff_search_on_fixed_cases(self, r, tol):
+        assert fock._tmss_moment_cutoff(r, tol) == oracle_tmss_cutoff_scan(r, tol)
+
+    def test_cutoff_search_takes_few_steps(self, monkeypatch):
+        calls = []
+        tail = fock._tmss_weighted_tail
+        monkeypatch.setattr(fock, "_tmss_weighted_tail", lambda r, c: calls.append(c) or tail(r, c))
+        with pytest.raises(ArraySizeError, match="at cutoff 17384861: "):
+            two_mode_squeezed_state(7.0)
+        assert len(calls) < 100
+
+
+# Squeezed states against their dense construction: at their own cutoff (r = 3 left out, whose
+# 4153 x 4153 grid takes 276 MB), and at explicit cutoffs, which tail_tol = 1 lets through.
+SQUEEZED_CASES = [(r, None, fock.DEFAULT_TAIL_TOL) for r in (0.0, 1e-3, 0.5, 1.0, 2.0)] + [
+    (r, cutoff, 1.0) for r in (0.0, 1e-3, 0.5, 1.0, 2.0, 3.0) for cutoff in (0, 1, 2, 40)
+]
+
+
+def _squeezed_case_id(case):
+    r, cutoff, _ = case
+    return f"r{r}-cutoff{'auto' if cutoff is None else cutoff}"
+
+
+class TestDiagonalSqueezedState:
+    """A squeezed state stores its diagonal; its grid, sector view, moments and densities
+    have the bits of the grid state built densely, as ``oracle_squeezed_grid`` builds it."""
+
+    @pytest.fixture(params=SQUEEZED_CASES, ids=_squeezed_case_id)
+    def states(self, request):
+        r, cutoff, tol = request.param
+        state = two_mode_squeezed_state(r, cutoff=cutoff, tail_tol=tol)
+        grid = oracle_squeezed_grid(r, state.cutoff)
+        return state, PureTwoModeState(grid), grid
+
+    def test_grid_is_the_dense_grid(self, states):
+        state, _, grid = states
+        assert state.coeffs.tobytes() == grid.tobytes()
+        assert state.coeffs.flags.c_contiguous and not state.coeffs.flags.writeable
+
+    def test_sector_view_is_the_gathered_view(self, states):
+        state, _, grid = states
+        got, want = state.sector_view, oracle_grid_view(grid)
+        for name in type(got)._fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_grid_moments_keep_the_bits(self, states):
+        state, dense, grid = states
+        got = (observables.exp_phase_single(state, 1), observables.exp_phase_single(state, 2),
+               *observables._ladder_moments(state))
+        if len(dense.sector_view.starts) > 2:
+            want = oracle_grid_moments_in_place(grid)
+        else:  # one sector: the moments that change the total number are not summed
+            want = (0j,) * 5
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_report_fields_keep_their_repr(self, states):
+        state, dense, _ = states
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, want = (observable_report(s).to_json_dict() for s in (state, dense))
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+    def test_relative_density_keeps_the_bits(self, states):
+        state, dense, _ = states
+        got, want = (relative_phase_density(s).values for s in (state, dense))
+        assert got.tobytes() == want.tobytes()
+
+    def test_joint_density_keeps_the_bits(self, states):
+        state, dense, _ = states
+        if state.cutoff > 40:
+            return  # a K x K joint density of these cutoffs takes 16 MB and more
+        got, want = (joint_local_phase_density(s).values for s in (state, dense))
+        assert got.tobytes() == want.tobytes()
+
+    def test_stores_the_diagonal_until_the_grid_is_read(self):
+        state = two_mode_squeezed_state(2.0)
+        assert state._coeffs is None and state._diagonal.shape == (505,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            observable_report(state)
+        relative_phase_density(state)
+        assert state._coeffs is None
+        assert state.coeffs.shape == (505, 505)
 
 
 class TestNumberDistributions:

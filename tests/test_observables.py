@@ -31,6 +31,7 @@ from oracles import (
     GRID_CASES,
     csv_row,
     oracle_exp_phase_single,
+    oracle_grid_moments_in_place,
     oracle_ladder_moments,
     oracle_moments,
     rand_mixture,
@@ -80,6 +81,16 @@ def test_grid_products_formed_in_place_keep_the_bits(case):
     for mode in (1, 2):
         assert exp_phase_single(state, mode) == oracle_exp_phase_single(state.coeffs, mode)
     assert observables._ladder_moments(state) == oracle_ladder_moments(state.coeffs)
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_lowering_sums_keep_the_bits_of_the_in_place_grid_products(case):
+    # mode 2 was formed on the transposed grid, in an F-ordered array of products; the
+    # lowering sum forms it C-ordered, which holds the same products in the same memory order
+    state = GRID_CASES[case]()
+    got = (exp_phase_single(state, 1), exp_phase_single(state, 2),
+           *observables._ladder_moments(state))
+    assert list(map(repr, got)) == list(map(repr, oracle_grid_moments_in_place(state.coeffs)))
 
 
 class TestExpPhase:
