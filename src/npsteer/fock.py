@@ -578,8 +578,9 @@ class NumberDistribution:
         if total <= 0:
             raise ValueError("total mass must be positive")
         masses = masses / total
-        mean = float(np.dot(masses, numbers))
-        variance = float(np.dot(masses, (numbers - mean) ** 2))
+        # np.sum adds pairwise; np.dot would leave the order of the sum to the BLAS threads
+        mean = float(np.sum(masses * numbers))
+        variance = float(np.sum(masses * (numbers - mean) ** 2))
         return cls(
             probs=dict(zip((int(n) for n in numbers), (float(p) for p in masses))),
             mean=mean,

@@ -56,6 +56,13 @@ def _is_coherent(state: State) -> bool:
     return isinstance(state, PureTwoModeState) and len(state.sector_view.starts) > 2
 
 
+def _weighted_sum(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> float:
+    """Sum of w x, the products formed in ``out``, then added pairwise by np.sum. Not np.dot:
+    that hands long vectors to BLAS, whose threads split the sum, so its bits would depend on
+    the thread count."""
+    return float(np.sum(np.multiply(w, x, out=out)))
+
+
 def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
     """Number moments, E1 E2†, cross-mode moments and edge mass, in one pass over the view:
     |amps|^2, the levels and the neighbor products are formed once, the other temporaries
@@ -64,15 +71,17 @@ def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
     p = np.abs(view.amps)
     np.square(p, out=p)
     sector_p = np.add.reduceat(p, view.starts[:-1])
-    tot1 = float(np.dot(sector_p, view.totals))
-    tot_var = float(np.dot(sector_p, (view.totals - tot1) ** 2))
+    dev = np.empty_like(sector_p)
+    tot1 = _weighted_sum(sector_p, view.totals, dev)
+    np.subtract(view.totals, tot1, out=dev)
+    tot_var = _weighted_sum(sector_p, np.square(dev, out=dev), dev)
     m, n = view.levels()
     edge_mass = float(np.sum(p[(m == state.cutoff) | (n == state.cutoff)]))
-    na, nb = float(np.dot(p, m)), float(np.dot(p, n))
-    tmp = np.subtract(m, na)
-    m_var = float(np.dot(p, np.square(tmp, out=tmp)))
-    n_var = float(np.dot(p, np.square(np.subtract(n, nb, out=tmp), out=tmp)))
-    nanb = float(np.dot(p, np.multiply(m, n, out=tmp)))
+    tmp = np.empty_like(p)
+    na, nb = _weighted_sum(p, m, tmp), _weighted_sum(p, n, tmp)
+    m_var = _weighted_sum(p, np.square(np.subtract(m, na, out=tmp), out=tmp), tmp)
+    n_var = _weighted_sum(p, np.square(np.subtract(n, nb, out=tmp), out=tmp), tmp)
+    nanb = _weighted_sum(p, np.multiply(m, n, out=tmp), tmp)
     roots = np.add(m[:-1], 1.0, out=tmp[:-1])  # <a† b> weighs the pairs by sqrt((m + 1) n)
     roots *= n[:-1]
     np.sqrt(roots, out=roots)

@@ -11,6 +11,11 @@ output tables were built from their column lists: the ``eval`` stdout
 (verdict lines and JSON or CSV payload) and the ``sweep`` and ``curves``
 files. ``{out}`` in an argv stands for the output file.
 
+Its ``bytes`` entries were recorded again, all but that of ``curves``, when the
+sums of products in the number moments and the noise distributions moved from
+``np.dot`` to ``np.sum``: the bytes then stopped depending on the BLAS thread
+count, and every number moved by rounding only.
+
 Its ``chunked_samples`` entries were recorded before the bootstrap moved to a
 helper thread and the CSV writer to chunks: a run long enough to span many
 writer chunks, run again with index draws split into several chunks, with and
@@ -18,11 +23,15 @@ without the helper thread.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import npsteer
 from npsteer import phase_povm
 from npsteer.cli import main as cli_main
 from npsteer.observables import observable_report
@@ -90,13 +99,51 @@ def test_readme_verdict_lines_are_pinned(capsys):
     assert got == want
 
 
-@pytest.mark.parametrize("case", GOLDEN["bytes"], ids=lambda c: " ".join(c["argv"][:1] + c["argv"][2:]))
-def test_output_bytes_are_pinned(case, tmp_path, capsys):
+def _bytes_case_id(case) -> str:
+    return " ".join(case["argv"][:1] + case["argv"][2:])
+
+
+def _output_bytes(case, tmp_path, capsys) -> bytes:
     out = tmp_path / "out"
     argv = [arg.replace("{out}", str(out)) for arg in case["argv"]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert cli_main(argv) == 0
     stdout = capsys.readouterr().out
-    data = stdout.encode() if case["output"] == "stdout" else out.read_bytes()
+    return stdout.encode() if case["output"] == "stdout" else out.read_bytes()
+
+
+@pytest.mark.parametrize("case", GOLDEN["bytes"], ids=_bytes_case_id)
+def test_output_bytes_are_pinned(case, tmp_path, capsys):
+    data = _output_bytes(case, tmp_path, capsys)
     assert hashlib.sha256(data).hexdigest() == case["sha256"]
+
+
+# A squeezed state, a 400-photon mixture and a sweep of it: long sums, which BLAS would split
+# across threads.
+ONE_THREAD_CASES = [
+    case for case in GOLDEN["bytes"]
+    if case["argv"][2] in (
+        '{"family": "tmss", "r": 2.0}',
+        '{"family": "mixture", "base": "number_phase", "noise": '
+        '{"kind": "gaussian", "mean": 400.0, "std": 10.0}}',
+        '{"family": "mixture", "base": "number_phase", "phi": 0.7, "noise": '
+        '{"kind": "gaussian", "mean": 400.0, "std": 10.0}}',
+    ) and len(case["argv"]) in (3, 7)
+]
+
+
+@pytest.mark.parametrize("case", ONE_THREAD_CASES, ids=_bytes_case_id)
+def test_output_bytes_do_not_depend_on_blas_threads(case, tmp_path, capsys):
+    """The bytes of a child run with BLAS pinned to one thread, as the benchmark runs it,
+    equal those of this process, whose BLAS uses every CPU unless the caller pinned it."""
+    want = _output_bytes(case, tmp_path, capsys)
+    out = tmp_path / "child"
+    argv = [arg.replace("{out}", str(out)) for arg in case["argv"]]
+    src = str(Path(npsteer.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-m", "npsteer", *argv], env=env,
+                           capture_output=True, check=True)
+    got = child.stdout if case["output"] == "stdout" else out.read_bytes()
+    assert got == want
