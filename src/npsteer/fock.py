@@ -537,9 +537,8 @@ def two_mode_squeezed_state(
         f"squeezing r={r!r} at cutoff {cutoff}: the {cutoff + 1} x {cutoff + 1} amplitude grid",
     )
     m = np.arange(cutoff + 1)
-    amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else np.eye(1)[0]
-    # at r = 0 the one amplitude fills the whole diagonal, as it filled the grid's
-    return PureTwoModeState._from_diagonal(np.broadcast_to(amps, cutoff + 1))
+    amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else (m == 0) * 1.0
+    return PureTwoModeState._from_diagonal(amps)  # at r = 0 the vacuum |0>|0>
 
 
 @dataclass(frozen=True)

@@ -385,7 +385,7 @@ def oracle_grid_view(c: np.ndarray) -> SectorView:
 def oracle_squeezed_grid(r: float, cutoff: int) -> np.ndarray:
     """The normalized grid of ``two_mode_squeezed_state(r, cutoff)``, built densely."""
     m = np.arange(cutoff + 1)
-    amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else np.eye(1)[0]
+    amps = np.exp(m * math.log(math.tanh(r))) / math.cosh(r) if r > 0 else (m == 0) * 1.0
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[m, m] = amps
     p = np.abs(grid)

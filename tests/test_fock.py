@@ -247,6 +247,16 @@ class TestTwoModeSqueezed:
         assert state.cutoff == 0
         assert state.coeffs[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 40])
+    def test_zero_squeezing_at_any_cutoff_is_vacuum(self, cutoff):
+        state = two_mode_squeezed_state(0.0, cutoff=cutoff)
+        assert state.cutoff == cutoff
+        assert state.coeffs[0, 0] == 1.0 and np.count_nonzero(state.coeffs) == 1
+        got = observable_report(state).to_json_dict()
+        want = observable_report(two_mode_squeezed_state(0.0, cutoff=0)).to_json_dict()
+        assert repr(got) == repr(want)
+        assert got["n_mean"] == 0.0 and got["n_var"] == 0.0
+
     def test_amplitudes_are_geometric_on_the_diagonal(self):
         r = 0.6
         state = two_mode_squeezed_state(r, cutoff=40, tail_tol=1e-6)
