@@ -674,6 +674,8 @@ def thermal_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Num
     if tail_tol <= 0:
         raise ValueError("tail tolerance must be positive")
     q = mean / (mean + 1.0)
+    if q == 1.0:
+        raise TruncationError(f"thermal noise mean={mean!r} is beyond double precision")
     # horizon where even the N^2-weighted remainder is negligible next to tail_tol
     horizon = 8
     log_q = math.log(q)
@@ -841,10 +843,10 @@ def mixture_from_sector_amplitudes(
     """
     totals = dist.support()
     starts = _sector_starts(totals)
-    # the stored amplitudes, and the largest temporary of the build, take 16 bytes per entry
-    require_array_bytes(
-        16 * int(starts[-1]), f"a mixture of {len(totals)} sectors up to N = {int(totals[-1])}"
-    )
+    # the stored amplitudes, and the largest temporary of the build, take 16 bytes per entry,
+    # counted in Python ints: ``starts`` wraps around for totals near 2^63 / len(totals)
+    entries = sum(totals.tolist()) + len(totals)
+    require_array_bytes(16 * entries, f"a mixture of {len(totals)} sectors up to N = {totals[-1]}")
     amps = np.asarray(amps_builder(totals), dtype=np.complex128)
     if amps.shape != (starts[-1],):
         raise ValueError(

@@ -7,8 +7,9 @@ import time
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from npsteer import REPORT_FIELDS, PureTwoModeState, cli, phase_povm
+from npsteer import REPORT_FIELDS, PureTwoModeState, cli, fock, phase_povm
 from npsteer.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
 
 # The criteria `eval` reports, in the order of its lines, payload and CSV columns.
@@ -663,3 +664,88 @@ def test_unknown_subcommand_is_a_parser_error():
     with pytest.raises(SystemExit) as exc:
         main(["plot"])
     assert exc.value.code == 2
+
+
+# Values a JSON number field or a flag may take: small integers, every double (NaN,
+# infinities and subnormals among them), the extremes the input guards were written for,
+# and booleans. A case draws at most one value from these and the rest from their valid
+# ranges, so that many cases run to the end.
+FUZZ_NUMBERS = st.one_of(
+    st.integers(-4, 60),
+    st.floats(),
+    st.sampled_from([0.0, 1e-300, 1e-320, 1e308, 0.5, 7.0, 30.0, 1 << 40]),
+    st.booleans(),
+)
+FUZZ_VALID = {
+    "n": st.integers(0, 40),
+    "phi": st.floats(-10.0, 10.0),
+    "transmissivity": st.floats(0.0, 1.0),
+    "r": st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    "cutoff": st.integers(0, 60),
+    "tail_tol": st.floats(1e-12, 0.5),
+    "mean": st.floats(0.1, 60.0),
+    "std": st.floats(0.5, 20.0),
+    "--grid": st.integers(32, 2048).map(lambda half: 2 * half),
+    "--tail-tol": st.floats(1e-12, 0.5),
+    "--z": st.floats(0.0, 10.0),
+}
+FUZZ_KEYS = {
+    "number_phase": ("n", "phi"),
+    "split_fock": ("n", "phi", "transmissivity"),
+    "tmss": ("r", "cutoff", "tail_tol"),
+    "mixture": ("phi", "tail_tol"),
+}
+FUZZ_NOISE_KEYS = {"poissonian": ("mean",), "thermal": ("mean",), "gaussian": ("mean", "std"),
+                   "point": ("n",)}
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A state spec and eval flags, one of their values perhaps out of range."""
+    family = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    spec = {"family": family}
+    keys = [k for k in FUZZ_KEYS[family] if k in ("n", "r") or draw(st.booleans())]
+    flags = [f for f in ("--grid", "--tail-tol", "--z") if draw(st.booleans())]
+    noise_keys = ()
+    if family == "mixture":
+        spec["base"] = draw(st.sampled_from(["number_phase", "split_fock"]))
+        if spec["base"] == "split_fock" and draw(st.booleans()):
+            keys.append("transmissivity")
+        spec["noise"] = {"kind": draw(st.sampled_from(sorted(FUZZ_NOISE_KEYS)))}
+        noise_keys = FUZZ_NOISE_KEYS[spec["noise"]["kind"]]
+    wild = draw(st.sampled_from([None, *keys, *noise_keys, *flags]))
+
+    def value(key):
+        return draw(FUZZ_NUMBERS if key == wild else FUZZ_VALID[key])
+
+    spec.update((k, value(k)) for k in keys)
+    if noise_keys:
+        spec["noise"].update((k, value(k)) for k in noise_keys)
+    return spec, [f"{flag}={value(flag)!r}" for flag in flags]
+
+
+@given(case=fuzz_cases())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_eval_fuzz_exits_cleanly_with_finite_payloads(case, capsys, monkeypatch,
+                                                      refuse_large_arrays):
+    """Any spec and flags end in exit 0 with a finite payload, or in a named error (2 or 3);
+    never in a traceback. A lower array limit keeps every accepted case small."""
+    spec, flags = case
+    monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 1 << 22)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["eval", "--state", json.dumps(spec), *flags])
+    except SystemExit as exc:  # the parser rejects a flag value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        payload = stdout_json(out)
+        numbers = list(payload["report"].values()) + [
+            v[key] for v in payload["verdicts"] for key in ("lhs", "bound", "margin")
+        ]
+        assert all(math.isfinite(x) for x in numbers), payload
+        if spec["family"] == "tmss" and spec["r"] == 0:
+            assert payload["report"]["n_mean"] == 0.0
