@@ -43,6 +43,7 @@ MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time
 # 32 sectors at K = 4096, about 3 MB of transform and power, and fewer sectors
 # per block at larger K, so the block never grows with the grid.
 DENSITY_BLOCK_CELLS = 1 << 17
+SHARED_DENSITY_BLOCKS = 3  # fewest shared blocks that pay for a helper thread (measured, 2 cores)
 
 
 def nyquist_minimum(cutoff: int) -> int:
@@ -79,11 +80,29 @@ def wrap_angle(x: np.ndarray | float):
 
 
 @dataclass(frozen=True)
-class PhaseDensity:
-    """Probability density of one angle on the canonical uniform grid."""
+class _GridDensity:
+    """Density values on the canonical grid ``phis``, both held read-only."""
 
     phis: np.ndarray
     values: np.ndarray
+
+    def _freeze(self, phis: np.ndarray, values: np.ndarray) -> None:
+        for name, array in (("phis", phis.copy()), ("values", values)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def grid_size(self) -> int:
+        return len(self.phis)
+
+    @property
+    def spacing(self) -> float:
+        return TWO_PI / len(self.phis)
+
+
+@dataclass(frozen=True)
+class PhaseDensity(_GridDensity):
+    """Probability density of one angle on the canonical uniform grid."""
 
     def __post_init__(self):
         phis = np.asarray(self.phis, dtype=float)
@@ -99,19 +118,7 @@ class PhaseDensity:
         total = float(values.sum()) * (TWO_PI / k)
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1")
-        phis = phis.copy()
-        phis.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.phis)
-
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / len(self.phis)
+        self._freeze(phis, values)
 
     def integrate(self) -> float:
         return float(self.values.sum()) * self.spacing
@@ -122,11 +129,8 @@ class PhaseDensity:
 
 
 @dataclass(frozen=True)
-class JointPhaseDensity:
+class JointPhaseDensity(_GridDensity):
     """Joint density of the two local angles on a K x K canonical grid."""
-
-    phis: np.ndarray
-    values: np.ndarray
 
     def __post_init__(self):
         phis = np.asarray(self.phis, dtype=float)
@@ -137,19 +141,7 @@ class JointPhaseDensity:
         if float(values.min()) < NEGATIVE_CLIP_TOL:
             raise ValueError("joint density has negative values")
         values = np.clip(values, 0.0, None)  # a new array, owned here
-        phis = phis.copy()
-        phis.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.phis)
-
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / len(self.phis)
+        self._freeze(phis, values)
 
     def integrate(self) -> float:
         return float(self.values.sum()) * self.spacing**2
@@ -164,31 +156,67 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     bits of a loop that transforms and adds each sector on its own. The block
     is allocated once at width K and transformed at that length, with no
     ``n=`` padding. Each block rewrites and sign-flips only its first
-    ``width`` columns (the longest sector): past them the flip would write
+    ``len(cols)`` columns (the longest sector): past them the flip would write
     -0.0 into the tail, which must stay the +0.0 that a length-K transform
-    pads a short row with.
+    pads a short row with. A density of SHARED_DENSITY_BLOCKS blocks or more
+    is shared with ``_helper_count()`` helper threads, DENSITY_BLOCK_CELLS split
+    among the workers: each transforms its next block in its own buffers, then
+    waits its turn to add its rows, in sector order, so the bits stay the same.
     """
     k = grid_size
-    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    rows = max(1, min(len(bounds), DENSITY_BLOCK_CELLS // k))
+    lengths = np.diff(starts)
+    n = len(lengths)
+    rows = max(1, min(n, DENSITY_BLOCK_CELLS // k))
     require_array_bytes(16 * rows * k, f"grid size K={k}: the transform of {rows} sector(s)")
-    width = int(np.diff(starts).max())
-    pad = np.zeros((rows, k), dtype=np.complex128)
-    power = np.empty((rows, k))
+    cols = np.arange(int(lengths.max()))
+    helpers = _helper_count()
+    shared_rows = DENSITY_BLOCK_CELLS // ((1 + helpers) * k)
+    shared = helpers > 0 and shared_rows > 0 and n > (SHARED_DENSITY_BLOCKS - 1) * shared_rows
+    rows = shared_rows if shared else rows
     acc = np.zeros(k)
-    for first in range(0, len(bounds), rows):
-        block = bounds[first : first + rows]
-        r = len(block)
-        head = pad[:r, :width]
+
+    def transform(first: int, pad: np.ndarray, power: np.ndarray) -> np.ndarray:
+        r = min(rows, n - first)
+        head = pad[:r, : len(cols)]
         head[...] = 0.0
-        for row, (lo, hi) in zip(head, block):
-            row[: hi - lo] = amps[lo:hi]
+        # one scatter a block: the mask's cells run in the amplitudes' order
+        head[cols < lengths[first : first + r, None]] = amps[starts[first] : starts[first + r]]
         odd = head[:, 1::2]
         np.negative(odd, out=odd)  # (-1)^m moves the grid origin from 0 to -pi
         np.abs(np.fft.fft(pad[:r], axis=1), out=power[:r])
         power[:r] **= 2
-        for row in power[:r]:
-            acc += row  # not power.sum(axis=0): that would reorder the sum
+        return power[:r]
+
+    def buffers():
+        return np.zeros((rows, k), dtype=np.complex128), np.empty((rows, k))
+
+    if not shared:
+        pad, power = buffers()
+        for first in range(0, n, rows):
+            for row in transform(first, pad, power):
+                acc += row  # not power.sum(axis=0): that would reorder the sum
+        return acc
+    team = _Team(helpers)
+    claimed = added = 0
+
+    def work(pad: np.ndarray, power: np.ndarray) -> None:
+        nonlocal acc, claimed, added
+        while True:
+            with team.turn:
+                block, claimed = claimed, claimed + 1
+            if team.stopped or block * rows >= n:
+                return
+            profiles = transform(block * rows, pad, power)
+            with team.turn:
+                team.turn.wait_for(lambda: added == block or team.stopped)
+                if team.stopped:
+                    return
+                for row in profiles:
+                    acc += row
+                added += 1
+                team.turn.notify_all()
+
+    team.run(work, buffers)
     return acc
 
 
@@ -322,16 +350,13 @@ def _sample_sector(amps: np.ndarray, u_delta, u_sum, grid_size):
     the second angle independently uniform; (delta + phi2, phi2) then has
     exactly the sector's joint law.
     """
-    k = (
-        default_grid_size(len(amps) - 1, floor=MIN_SAMPLING_GRID)
-        if grid_size is None
-        else grid_size
-    )
-    profile = _summed_profiles(amps, np.array([0, len(amps)]), k)
+    if grid_size is None:
+        grid_size = default_grid_size(len(amps) - 1, floor=MIN_SAMPLING_GRID)
+    profile = _summed_profiles(amps, np.array([0, len(amps)]), grid_size)
     masses = profile / profile.sum()
-    phis = phase_grid(k)
+    phis = phase_grid(grid_size)
     idx, frac = _invert_cells(_padded_cdf(masses), u_delta)
-    delta = _cells_to_angles(phis, TWO_PI / k, idx, frac)
+    delta = _cells_to_angles(phis, TWO_PI / grid_size, idx, frac)
     phi2 = -math.pi + u_sum * TWO_PI
     return wrap_angle(delta + phi2), phi2
 
@@ -378,12 +403,9 @@ def sample_local_phases(
 
 
 def _helper_count() -> int:
-    """Helper threads for the bootstrap: one when this process may run on more than one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 1 if cpus > 1 else 0
+    """Helper threads for the bootstrap and the relative density: one on more than one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 1 if (cpus or 1) > 1 else 0
 
 
 @contextlib.contextmanager
@@ -402,6 +424,51 @@ def _short_switch_interval():
         sys.setswitchinterval(interval)
 
 
+class _Team:
+    """The calling thread and ``helpers`` helper threads, each running ``work(*buffers())``.
+
+    The caller allocates every worker's buffers: a helper's own would come from a
+    per-thread glibc arena and raise the peak resident size. A failure sets ``stopped``
+    and wakes ``turn``'s waiters; ``run`` joins every helper and re-raises a helper's error.
+    """
+
+    def __init__(self, helpers: int):
+        self.helpers, self.stopped = helpers, False
+        self.turn = threading.Condition(threading.Lock())
+
+    def stop(self) -> None:
+        self.stopped = True
+        with self.turn:
+            self.turn.notify_all()
+
+    def run(self, work: Callable, buffers: Callable, alongside: Callable | None = None) -> None:
+        errors: list[BaseException] = []
+
+        def helper(*args) -> None:
+            try:
+                work(*args)
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+                self.stop()
+
+        threads = [threading.Thread(target=helper, args=buffers()) for _ in range(self.helpers)]
+        for t in threads:
+            t.start()
+        try:
+            if alongside is not None:  # a short switch interval hands the GIL to a helper quickly
+                with _short_switch_interval() if threads else contextlib.nullcontext():
+                    alongside()
+            work(*buffers())
+        except BaseException:
+            self.stop()
+            raise
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[0]
+
+
 def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, alongside):
     """The resampled dispersions, in draw order, with ``alongside()`` run on the calling thread.
 
@@ -409,25 +476,20 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
     ``rng``, and its value is stored at its draw index, so the values are the
     same whichever thread gathers them. The draws, the gather and the mean
     release the GIL, so a helper thread resamples while ``alongside()`` (the
-    CSV writer) runs, under a short switch interval so that the helper gets
-    the GIL back quickly; then the calling thread joins in. The calling thread
-    allocates every worker's index and gather buffers, once per estimate, so
-    the helper makes no large allocation of its own (glibc would serve it
-    from a separate per-thread arena and raise the peak resident size).
+    CSV writer) runs, then the calling thread joins in.
     """
     n = len(z)
     vals = np.empty(resamples)
     lock = threading.Lock()
+    team = _Team(_helper_count())
     next_draw = 0
-    stop = False
-    errors: list[BaseException] = []
 
     def work(idx: np.ndarray, buf: np.ndarray) -> None:
         nonlocal next_draw
         while True:
             with lock:
                 i = next_draw
-                if stop or i >= resamples:
+                if team.stopped or i >= resamples:
                     return
                 next_draw = i + 1
                 for lo in range(0, n, DRAW_CHUNK):
@@ -436,33 +498,10 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
             np.take(z, idx, out=buf, mode="clip")  # indices are in range: clip changes nothing
             vals[i] = 1.0 - abs(complex(buf.mean())) ** 2
 
-    def helper(idx: np.ndarray, buf: np.ndarray) -> None:
-        nonlocal stop
-        try:
-            work(idx, buf)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-            stop = True
-
     def buffers():
         return np.empty(n, dtype=np.intp), np.empty(n, dtype=z.dtype)
 
-    threads = [threading.Thread(target=helper, args=buffers()) for _ in range(_helper_count())]
-    for t in threads:
-        t.start()
-    try:
-        if alongside is not None:
-            with _short_switch_interval() if threads else contextlib.nullcontext():
-                alongside()
-        work(*buffers())
-    except BaseException:
-        stop = True
-        raise
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    team.run(work, buffers, alongside)
     return vals
 
 

@@ -147,3 +147,14 @@ def test_output_bytes_do_not_depend_on_blas_threads(case, tmp_path, capsys):
                            capture_output=True, check=True)
     got = child.stdout if case["output"] == "stdout" else out.read_bytes()
     assert got == want
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+@pytest.mark.parametrize("case", [c for c in GOLDEN["bytes"] if c["argv"][0] in ("eval", "sweep")],
+                         ids=_bytes_case_id)
+def test_output_bytes_do_not_depend_on_density_helpers(case, helpers, tmp_path, capsys,
+                                                       monkeypatch):
+    """The relative density shares its blocks with the helper threads; the bytes do not show it."""
+    monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
+    data = _output_bytes(case, tmp_path, capsys)
+    assert hashlib.sha256(data).hexdigest() == case["sha256"]

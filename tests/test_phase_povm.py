@@ -214,6 +214,76 @@ class TestSummedProfiles:
         got = phase_povm._summed_profiles(amps, starts, grid_size)
         assert got.tobytes() == oracle_summed_profiles(amps, starts, grid_size).tobytes()
 
+    @pytest.mark.parametrize("helpers", [0, 1, 4])
+    @pytest.mark.parametrize("case", ["below", "at", "above"])
+    def test_shared_blocks_match_one_fft_per_sector(self, rng, monkeypatch, helpers, case):
+        """Around the sharing threshold, with up to more workers than cores under fast
+        switching, the sum has the bits of the loop; it is shared only from the threshold."""
+        k = phase_povm.DENSITY_BLOCK_CELLS // 16
+        shared_rows = phase_povm.DENSITY_BLOCK_CELLS // ((1 + max(helpers, 1)) * k)
+        full = phase_povm.SHARED_DENSITY_BLOCKS - 1  # full blocks just below the threshold
+        n = {"below": full * shared_rows, "at": full * shared_rows + 1,
+             "above": (full + 1) * shared_rows + 1}[case]
+        lengths = rng.integers(1, 40, n)
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        amps = rng.normal(size=starts[-1]) + 1j * rng.normal(size=starts[-1])
+        amps[rng.random(starts[-1]) < 0.2] = 0.0
+        teams = []
+        team = phase_povm._Team
+        monkeypatch.setattr(phase_povm, "_Team", lambda h: teams.append(h) or team(h))
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if helpers > 1 else interval)
+        try:
+            got = phase_povm._summed_profiles(amps, starts, k)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == oracle_summed_profiles(amps, starts, k).tobytes()
+        assert teams == ([helpers] if helpers and case != "below" else [])
+
+    @pytest.fixture
+    def shared_mixture(self, rng, monkeypatch):
+        """Amplitudes of 64 sectors at a K whose density is shared with one helper."""
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        starts = np.concatenate(([0], np.cumsum(rng.integers(1, 40, 64))))
+        return rng.normal(size=starts[-1]) + 0j, starts, phase_povm.DENSITY_BLOCK_CELLS // 16
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failing_transform_raises_in_the_caller(self, monkeypatch, shared_mixture, failing):
+        # The failing thread's FFT waits until the other thread has run one, so both work.
+        fft = np.fft.fft
+        other_ran = threading.Event()
+
+        def fft_failing_on_one_thread(*args, **kwargs):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper != (failing == "helper"):
+                out = fft(*args, **kwargs)
+                other_ran.set()
+                return out
+            other_ran.wait(10.0)
+            raise RuntimeError(f"{failing} FFT failed")
+
+        monkeypatch.setattr(np.fft, "fft", fft_failing_on_one_thread)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} FFT failed"):
+            phase_povm._summed_profiles(*shared_mixture)
+        assert other_ran.is_set()
+        assert threading.active_count() == threads
+
+    def test_small_densities_stay_on_the_calling_thread(self, rng, monkeypatch):
+        """Single sectors, few blocks and the sampler's sectors start no helper thread."""
+        def no_team(helpers):
+            raise AssertionError("a small density was shared")
+
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        monkeypatch.setattr(phase_povm, "_Team", no_team)
+        poisson50 = mixture_over_sectors(
+            poissonian_distribution(50.0), lambda n: split_fock_state(n, 0.0, 0.5)
+        )
+        for state in (number_phase_state(1000, 0.0), split_fock_state(400, 0.0, 0.5), poisson50):
+            relative_phase_density(state)
+        sample_local_phases(rand_mixture(rng, max_total=60, n_sectors=12), 300, 17)
+
     def test_mixture_sample_stream_matches_one_fft_per_sector(self, rng, monkeypatch):
         mix = rand_mixture(rng, max_total=60, n_sectors=12)  # odd and even sector lengths
         got = sample_local_phases(mix, 3000, 17)
