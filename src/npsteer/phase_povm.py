@@ -480,14 +480,13 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
     """
     n = len(z)
     vals = np.empty(resamples)
-    lock = threading.Lock()
     team = _Team(_helper_count())
     next_draw = 0
 
     def work(idx: np.ndarray, buf: np.ndarray) -> None:
         nonlocal next_draw
         while True:
-            with lock:
+            with team.turn:
                 i = next_draw
                 if team.stopped or i >= resamples:
                     return
