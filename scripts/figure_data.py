@@ -16,6 +16,7 @@ criterion margins, so the files drop straight onto the boundary plot.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 from dataclasses import dataclass
 
@@ -23,14 +24,12 @@ import numpy as np
 
 from npsteer import (
     boundary_curves,
-    mixture_over_sectors,
     np_entanglement,
     np_steering,
     number_phase_state,
     observable_report,
-    poissonian_distribution,
+    parse_state_spec,
     split_fock_state,
-    thermal_distribution,
     two_mode_squeezed_state,
 )
 
@@ -66,6 +65,12 @@ def trajectory_row(parameter: float, state) -> list[float]:
     ]
 
 
+def dephased_state(kind: str, mean: float):
+    """Flat-phase states mixed over ``kind`` number noise, built as ``npsteer eval`` builds them."""
+    spec = {"family": "mixture", "base": "number_phase", "noise": {"kind": kind, "mean": mean}}
+    return parse_state_spec(json.dumps(spec)).build()
+
+
 def emit_curves(config: FigureConfig) -> None:
     grid = np.arange(config.d2_step, 1.0 + config.d2_step / 2, config.d2_step)
     ent = boundary_curves("ENT_FIG2", grid).threshold
@@ -98,17 +103,8 @@ def emit_trajectories(config: FigureConfig) -> None:
     write_rows(os.path.join(config.out_dir, "tmss.csv"), TRAJECTORY_COLUMNS, rows)
 
     mean_values = np.arange(config.mean_step, config.mean_max, config.mean_step)
-    for name, dist in (
-        ("poissonian", poissonian_distribution),
-        ("thermal", thermal_distribution),
-    ):
-        rows = [
-            trajectory_row(
-                mean,
-                mixture_over_sectors(dist(mean), lambda n: number_phase_state(n, 0.0)),
-            )
-            for mean in mean_values.tolist()
-        ]
+    for name in ("poissonian", "thermal"):
+        rows = [trajectory_row(mean, dephased_state(name, mean)) for mean in mean_values.tolist()]
         write_rows(os.path.join(config.out_dir, f"{name}.csv"), TRAJECTORY_COLUMNS, rows)
 
 

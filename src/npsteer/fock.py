@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 NORM_TOL = 1e-12
-OFF_SECTOR_TOL = 1e-14
 DEFAULT_TAIL_TOL = 1e-10
 # Largest single dense array a state or density may allocate (1 GiB): an
 # amplitude grid up to cutoff 8191, a joint phase density up to K = 8192.
@@ -173,11 +172,19 @@ class PureTwoModeState:
 
     @classmethod
     def from_sector(cls, total: int, amps: np.ndarray) -> "PureTwoModeState":
-        """The state with amplitudes ``amps[m]`` on |m>|total - m>, normalized here."""
+        """The state with amplitudes ``amps[m]`` on |m>|total - m>, normalized here.
+
+        ``amps`` must hold total + 1 entries of finite, nonzero norm.
+        """
         raw = np.array(amps, dtype=np.complex128)
+        if raw.shape != (total + 1,):
+            raise ValueError(f"sector {total} needs {total + 1} amplitudes, got {raw.shape}")
+        with np.errstate(all="ignore"):
+            sector = raw / math.sqrt(float(np.sum(np.abs(raw) ** 2)))
+        _check_norm(float(np.sum(np.abs(sector) ** 2)))  # NaN for a zero or non-finite norm
+        sector.flags.writeable = False
         state = cls.__new__(cls)
-        state._coeffs, state._diagonal, state._cutoff = None, None, total
-        state._sector = SectorState(total, raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
+        state._coeffs, state._sector, state._diagonal, state._cutoff = None, sector, None, total
         state._raw = raw  # the grid is built from these, as a dense construction would
         return state
 
@@ -219,7 +226,7 @@ class PureTwoModeState:
     def sector_view(self) -> SectorView:
         k = self._cutoff + 1
         if self._sector is not None:
-            return _weighted_view(self._sector.amps, np.array([0, k]), np.array([k - 1]), np.ones(1))
+            return _weighted_view(self._sector, np.array([0, k]), np.array([k - 1]), np.ones(1))
         if self._diagonal is not None:
             # c[m, m] is entry m - first_m of sector 2m, the only nonzero one there
             m = np.flatnonzero(self._diagonal)
@@ -265,29 +272,6 @@ class PureTwoModeState:
             terms *= rows * cols if i and j else rows if i else cols
         terms *= c[i:, j:]
         return complex(np.sum(terms))
-
-    def total_mass(self) -> float:
-        return float(np.sum(np.abs(self.sector_view.amps) ** 2))
-
-    def sector_amplitudes(self, total: int) -> np.ndarray:
-        """Amplitudes on the anti-diagonal m + n = total, indexed by m in 0..total.
-
-        Entries whose (m, n) fall outside the grid are zero.
-        """
-        if total < 0:
-            raise ValueError("total number must be >= 0")
-        amps = np.zeros(total + 1, dtype=np.complex128)
-        view = self.sector_view
-        for s in np.flatnonzero(view.totals == total):
-            m0, lo, hi = view.first_m[s], view.starts[s], view.starts[s + 1]
-            amps[m0 : m0 + hi - lo] = view.amps[lo:hi]
-        return amps
-
-    def sector_masses(self) -> np.ndarray:
-        """Probability mass per total-number sector, index N in 0..2*cutoff."""
-        view = self.sector_view
-        masses = np.add.reduceat(np.abs(view.amps) ** 2, view.starts[:-1])
-        return np.bincount(view.totals, masses, 2 * self.cutoff + 1)
 
 
 def _sector_starts(totals: np.ndarray) -> np.ndarray:
@@ -720,29 +704,10 @@ def gaussian_distribution(
     )
 
 
-@dataclass(frozen=True)
-class SectorState:
-    """Pure state confined to a single total-number sector.
+class _SectorSlice(NamedTuple):
+    """One sector's amplitudes, a view into the mixture's flat ``amps``."""
 
-    ``amps[m]`` is the amplitude on |m>|total - m>; unit norm, read-only.
-    """
-
-    total: int
     amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=np.complex128)
-        if a.ndim != 1 or len(a) != self.total + 1:
-            raise ValueError(f"sector {self.total} needs {self.total + 1} amplitudes, got {a.shape}")
-        norm = float(np.sum(np.abs(a) ** 2))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"sector state norm**2 = {norm!r} deviates from 1")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "amps", a)
-
-    def to_pure_state(self) -> PureTwoModeState:
-        return PureTwoModeState.from_sector(self.total, self.amps)
 
 
 class SectorMixture:
@@ -751,33 +716,11 @@ class SectorMixture:
     Stored flat: sector s has total ``totals()[s]``, weight ``weights()[s]``
     and unit-norm amplitudes ``amps[starts[s]:starts[s + 1]]`` on
     |m>|N - m>, m = 0..N. Totals strictly increase and the weights sum to
-    one. ``SectorMixture(sectors)`` builds these arrays from
-    (N, weight, SectorState) triples; ``sectors`` gives the triples back,
-    built the first time it is read. All arrays are read-only.
+    one. The constructor checks the four arrays (NaN-safe) and keeps them,
+    not copies, read-only.
     """
 
-    def __init__(self, sectors: Iterable[tuple[int, float, SectorState]]):
-        sectors = tuple(sectors)
-        for n, _, state in sectors:
-            if state.total != n:
-                raise ValueError(f"sector labeled {n} holds a state of total {state.total}")
-        counts = [len(state.amps) for _, _, state in sectors]
-        self._adopt(
-            np.array([n for n, _, _ in sectors], dtype=np.int64),
-            np.array([w for _, w, _ in sectors], dtype=float),
-            np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
-            np.concatenate([np.zeros(0, np.complex128)] + [state.amps for _, _, state in sectors]),
-        )
-        self.__dict__["sectors"] = sectors
-
-    @classmethod
-    def _flat(cls, totals, weights, starts, amps) -> "SectorMixture":
-        mix = cls.__new__(cls)
-        mix._adopt(totals, weights, starts, amps)
-        return mix
-
-    def _adopt(self, totals: np.ndarray, weights: np.ndarray, starts: np.ndarray, amps: np.ndarray):
-        """Check the flat arrays (NaN-safe) and keep them, read-only."""
+    def __init__(self, totals: np.ndarray, weights: np.ndarray, starts: np.ndarray, amps: np.ndarray):
         if len(totals) == 0:
             raise ValueError("mixture needs at least one sector")
         if np.any(totals[1:] <= totals[:-1]):
@@ -810,19 +753,18 @@ class SectorMixture:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    def distribution(self) -> NumberDistribution:
-        return NumberDistribution.from_probs(dict(zip(self._totals.tolist(), self._weights.tolist())))
-
     @cached_property
-    def sectors(self) -> tuple[tuple[int, float, SectorState], ...]:
+    def sectors(self) -> tuple[tuple[int, float, _SectorSlice], ...]:
+        """(N, weight, x) per sector, ``x.amps`` a view of ``amps``: no copy, no check.
+
+        Nothing in the package reads this; it stays for perfbench/tracer.py, which
+        sizes a built mixture by ``len(sectors)`` and each ``x.amps.nbytes``.
+        """
         bounds = zip(self.starts[:-1].tolist(), self.starts[1:].tolist())
         return tuple(
-            (n, w, SectorState(n, self.amps[lo:hi]))
+            (n, w, _SectorSlice(self.amps[lo:hi]))
             for n, w, (lo, hi) in zip(self._totals.tolist(), self._weights.tolist(), bounds)
         )
-
-    def iter_sectors(self) -> Iterator[tuple[int, float, SectorState]]:
-        return iter(self.sectors)
 
     @cached_property
     def sector_view(self) -> SectorView:
@@ -859,32 +801,7 @@ def mixture_from_sector_amplitudes(
     roots = np.sqrt(_sector_sums(np.square(mass, out=mass), starts))
     del mass
     amps /= np.repeat(roots, totals + 1)
-    return SectorMixture._flat(totals, dist.masses(), starts, amps)
-
-
-def mixture_over_sectors(
-    dist: NumberDistribution, sector_builder: Callable[[int], PureTwoModeState]
-) -> SectorMixture:
-    """Mix ``sector_builder(N)`` outputs with weights from ``dist``.
-
-    Each built state must be confined to its sector: off-sector mass at or
-    above OFF_SECTOR_TOL raises a ValueError identifying the offending N.
-    """
-
-    def sector_amps(n: int) -> np.ndarray:
-        state = sector_builder(n)
-        amps = state.sector_amplitudes(n)
-        off_mass = abs(state.total_mass() - float(np.sum(np.abs(amps) ** 2)))
-        if off_mass >= OFF_SECTOR_TOL:
-            raise ValueError(
-                f"builder output for sector {n} has off-sector mass {off_mass:.3e} "
-                f">= {OFF_SECTOR_TOL:g}"
-            )
-        return amps
-
-    return mixture_from_sector_amplitudes(
-        dist, lambda totals: np.concatenate([sector_amps(n) for n in totals.tolist()])
-    )
+    return SectorMixture(totals, dist.masses(), starts, amps)
 
 
 State = PureTwoModeState | SectorMixture

@@ -21,6 +21,7 @@ from npsteer import (
     select_cutoff,
     two_mode_squeezed_state,
 )
+from npsteer import fock
 from npsteer.fock import NORM_TOL, SectorView, _tmss_weighted_tail
 from npsteer.observables import _clip_unit
 from npsteer.phase_povm import _write_csv
@@ -49,6 +50,40 @@ def _padded_vec(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return grid.ravel()
 
 
+def mixture_sectors(mix: SectorMixture) -> list[tuple[int, float, np.ndarray]]:
+    """(N, weight, amplitudes on |m>|N - m>) of each sector, read from the flat arrays."""
+    bounds = zip(mix.starts[:-1].tolist(), mix.starts[1:].tolist())
+    labels = zip(mix.totals().tolist(), mix.weights().tolist())
+    return [(n, w, mix.amps[lo:hi]) for (n, w), (lo, hi) in zip(labels, bounds)]
+
+
+def oracle_sector_amplitudes(state: PureTwoModeState, total: int) -> np.ndarray:
+    """The grid's anti-diagonal m + n = total, indexed by m in 0..total; zero off the grid."""
+    c = state.coeffs
+    amps = np.zeros(total + 1, dtype=np.complex128)
+    m = np.arange(max(0, total - len(c) + 1), min(total, len(c) - 1) + 1)
+    amps[m] = c[m, total - m]
+    return amps
+
+
+def oracle_sector_masses(state: PureTwoModeState) -> np.ndarray:
+    """Mass of each total-number sector N = 0..2 cutoff, summed from the grid."""
+    c = state.coeffs
+    m, n = np.indices(c.shape)
+    return np.bincount((m + n).ravel(), (np.abs(c) ** 2).ravel(), 2 * len(c) - 1)
+
+
+def flat_mixture(dist: NumberDistribution, base: str = "number_phase", phi: float = 0.0,
+                 transmissivity: float = 0.5) -> SectorMixture:
+    """``base`` states (number_phase or split_fock) mixed over ``dist``, built as
+    ``StateSpec.build`` builds a mixture: in one flat pass."""
+    if base == "number_phase":
+        return mixture_from_sector_amplitudes(dist, lambda totals: fock._number_phase_amps(totals, phi))
+    return mixture_from_sector_amplitudes(
+        dist, lambda totals: fock._split_fock_amps(totals, phi, transmissivity)
+    )
+
+
 def dense_rho(state, pad: int = 2) -> tuple[np.ndarray, int]:
     """Density matrix of the state on a padded two-mode grid."""
     dim = state.cutoff + 1 + pad
@@ -56,8 +91,8 @@ def dense_rho(state, pad: int = 2) -> tuple[np.ndarray, int]:
         v = _padded_vec(state.coeffs, dim)
         return np.outer(v, v.conj()), dim
     rho = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for _, w, sector in state.iter_sectors():
-        v = _padded_vec(sector.to_pure_state().coeffs, dim)
+    for n, w, amps in mixture_sectors(state):
+        v = _padded_vec(PureTwoModeState.from_sector(n, amps).coeffs, dim)
         rho += w * np.outer(v, v.conj())
     return rho, dim
 
@@ -122,14 +157,13 @@ def oracle_relative_density(state, phi: float) -> float:
     acc = 0.0
     for total in range(total_max + 1):
         if isinstance(state, PureTwoModeState):
-            amps = state.sector_amplitudes(total)
+            amps = oracle_sector_amplitudes(state, total)
             weight = 1.0
         else:
-            match = [(w, sec) for n, w, sec in state.iter_sectors() if n == total]
+            match = [(w, a) for n, w, a in mixture_sectors(state) if n == total]
             if not match:
                 continue
-            weight, sector = match[0]
-            amps = sector.amps
+            weight, amps = match[0]
         z = 0j
         for m, amp in enumerate(amps):
             z += amp * complex(math.cos(m * phi), -math.sin(m * phi))
@@ -237,7 +271,7 @@ def oracle_mixture(dist: NumberDistribution, sector_amps) -> SectorMixture:
         if a.shape != (n + 1,):
             raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
         np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
-    return SectorMixture._flat(totals, dist.masses(), starts, amps)
+    return SectorMixture(totals, dist.masses(), starts, amps)
 
 
 def oracle_trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):

@@ -12,7 +12,6 @@ import pytest
 
 from npsteer import (
     PureTwoModeState,
-    SectorState,
     boundary_curves,
     dispersions,
     exp_phase_relative,
@@ -21,7 +20,6 @@ from npsteer import (
     hz_criteria,
     hz_moments,
     joint_local_phase_density,
-    mixture_over_sectors,
     np_entanglement,
     np_steering,
     number_moments,
@@ -38,7 +36,7 @@ from npsteer import (
 from npsteer.cli import main as cli_main
 
 from oracles import (
-    oracle_moments, rand_mixture, rand_product, rand_pure, relative_marginal_from_joint,
+    flat_mixture, oracle_moments, rand_mixture, rand_product, rand_pure, relative_marginal_from_joint,
     single_mode_moments,
 )
 
@@ -95,9 +93,7 @@ def test_criterion_03_squeezed_states_with_automatic_truncation():
 
 def test_criterion_04_poissonian_dephasing_dispersion():
     for mean in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-        mix = mixture_over_sectors(
-            poissonian_distribution(mean), lambda n: number_phase_state(n, 0.0)
-        )
+        mix = flat_mixture(poissonian_distribution(mean))
         report = observable_report(mix)
         e_want = (mean - 1.0 + math.exp(-mean)) / mean
         assert abs(report.d2_rel - (1.0 - e_want**2)) <= 1e-8
@@ -107,9 +103,7 @@ def test_criterion_04_poissonian_dephasing_dispersion():
 
 def test_criterion_05_thermal_dephasing_moments():
     for mean in (0.5, 1.0, 2.0, 5.0):
-        mix = mixture_over_sectors(
-            thermal_distribution(mean), lambda n: number_phase_state(n, 0.0)
-        )
+        mix = flat_mixture(thermal_distribution(mean))
         report = observable_report(mix)
         assert abs(report.n_var - mean * (mean + 1.0)) <= 1e-8
         e_want = 1.0 - math.log(mean + 1.0) / mean
@@ -123,9 +117,7 @@ def test_criterion_06_gaussian_noise_thresholds_at_large_mean():
     mean = 400.0
 
     def report_at(std: float):
-        mix = mixture_over_sectors(
-            gaussian_distribution(mean, std), lambda n: number_phase_state(n, 0.0)
-        )
+        mix = flat_mixture(gaussian_distribution(mean, std))
         return observable_report(mix)
 
     def crossing_n_var(criterion, lo: float, hi: float) -> float:
@@ -169,12 +161,8 @@ def test_criterion_08_phase_distribution_consistency_under_a_minute():
         number_phase_state(7, 0.4),
         split_fock_state(6, -0.2, 0.5),
         two_mode_squeezed_state(0.7, cutoff=28),
-        mixture_over_sectors(
-            poissonian_distribution(3.0), lambda n: number_phase_state(n, 0.1)
-        ),
-        mixture_over_sectors(
-            thermal_distribution(0.5), lambda n: split_fock_state(n, 0.0, 0.5)
-        ),
+        flat_mixture(poissonian_distribution(3.0), "number_phase", 0.1),
+        flat_mixture(thermal_distribution(0.5), "split_fock", 0.0, 0.5),
     ]
     for state in states:
         assert state.cutoff <= 30

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from npsteer import (
     CriterionVerdict,
+    PureTwoModeState,
     all_verdicts,
     boundary_curves,
     gaussian_distribution,
     hz_criteria,
-    mixture_over_sectors,
     naive_criteria,
     np_entanglement,
     np_steering,
@@ -24,14 +24,11 @@ from npsteer import (
     two_mode_squeezed_state,
 )
 
-from oracles import oracle_moments, rand_mixture, rand_product, rand_pure
+from oracles import flat_mixture, oracle_moments, rand_mixture, rand_product, rand_pure
 
 
 def gaussian_number_phase_mixture(mean: float, var: float):
-    return mixture_over_sectors(
-        gaussian_distribution(mean, math.sqrt(var)),
-        lambda n: number_phase_state(n, 0.0),
-    )
+    return flat_mixture(gaussian_distribution(mean, math.sqrt(var)))
 
 
 class TestNumberPhaseCriteria:
@@ -56,9 +53,7 @@ class TestNumberPhaseCriteria:
         assert v.violated
 
     def test_thermal_mixture_does_not_violate_steering(self):
-        mix = mixture_over_sectors(
-            thermal_distribution(1.0), lambda n: number_phase_state(n, 0.0)
-        )
+        mix = flat_mixture(thermal_distribution(1.0))
         v = np_steering(observable_report(mix))
         want = 2.25 * (1.0 - (1.0 - math.log(2.0)) ** 2)
         assert v.lhs == pytest.approx(want, abs=1e-6)
@@ -285,9 +280,7 @@ def test_fixed_total_states_reduce_to_dispersion_test(seed):
     total = int(seed % 9)
     amps = rng.normal(size=total + 1) + 1j * rng.normal(size=total + 1)
     amps /= np.linalg.norm(amps)
-    from npsteer import SectorState
-
-    state = SectorState(total, amps).to_pure_state()
+    state = PureTwoModeState.from_sector(total, amps)
     report = observable_report(state)
     assert report.n_var < 1e-18
     expectation = report.d2_rel < 1.0 - 1e-12

@@ -17,12 +17,10 @@ from npsteer import (
     NumberDistribution,
     PureTwoModeState,
     SectorMixture,
-    SectorState,
     TruncationError,
     gaussian_distribution,
     joint_local_phase_density,
     mixture_from_sector_amplitudes,
-    mixture_over_sectors,
     number_phase_state,
     observable_report,
     poissonian_distribution,
@@ -37,11 +35,14 @@ from npsteer import (
 
 from oracles import (
     GRID_CASES,
+    flat_mixture,
     joined,
     oracle_grid_moments_in_place,
     oracle_grid_view,
     oracle_mixture,
     oracle_normalized_coeffs,
+    oracle_sector_amplitudes,
+    oracle_sector_masses,
     oracle_squeezed_grid,
     oracle_tmss_cutoff_scan,
     oracle_number_phase_amps,
@@ -74,7 +75,7 @@ class TestPureTwoModeState:
 
     def test_normalized_rescales(self):
         state = PureTwoModeState.normalized(np.full((3, 3), 1.0 + 0j))
-        assert state.total_mass() == pytest.approx(1.0, abs=1e-14)
+        assert oracle_sector_masses(state).sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_nan_grid(self):
         c = np.zeros((2, 2), dtype=complex)
@@ -87,6 +88,19 @@ class TestPureTwoModeState:
     def test_normalized_rejects_zero_grid(self):
         with pytest.raises(ValueError, match="zero"):
             PureTwoModeState.normalized(np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("total,amps,match", [
+        (3, np.ones(3), "sector 3 needs 4 amplitudes"),
+        (1, np.ones((1, 2)), "sector 1 needs 2 amplitudes"),
+        (1, [0, 0], "norm"),
+        (1, [np.nan, 1], "norm"),
+        (1, [np.inf, 1], "norm"),
+    ])
+    def test_from_sector_rejects_bad_amplitudes(self, total, amps, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                PureTwoModeState.from_sector(total, amps)
 
     def test_rejects_an_infinite_grid(self):
         c = np.zeros((3, 3), dtype=complex)
@@ -134,16 +148,12 @@ class TestPureTwoModeState:
         for name in ("starts", "totals", "first_m"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    def test_sector_amplitudes_cover_out_of_grid_region(self):
-        state = number_phase_state(2, 0.3)
-        # total 3 exceeds every anti-diagonal of a cutoff-2 state
-        assert np.all(state.sector_amplitudes(3) == 0)
-
-    def test_sector_masses_sum_to_one(self, rng):
+    def test_sector_view_masses_sum_to_one(self, rng):
         c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         state = PureTwoModeState.normalized(c)
-        masses = state.sector_masses()
-        assert len(masses) == 9
+        view = state.sector_view
+        masses = np.add.reduceat(np.abs(view.amps) ** 2, view.starts[:-1])
+        assert view.totals.tolist() == list(range(9))
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8])
@@ -169,13 +179,13 @@ class TestFixedTotalConstructors:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
     def test_number_phase_state_is_unit_norm_and_single_sector(self, n):
         state = number_phase_state(n, 0.7)
-        assert abs(state.total_mass() - 1.0) < 1e-12
-        masses = state.sector_masses()
+        masses = oracle_sector_masses(state)
+        assert abs(masses.sum() - 1.0) < 1e-12
         assert masses[n] == pytest.approx(1.0, abs=1e-12)
 
     def test_number_phase_amplitudes_are_flat_with_phase_ramp(self):
         state = number_phase_state(3, 0.5)
-        amps = state.sector_amplitudes(3)
+        amps = oracle_sector_amplitudes(state, 3)
         expected = np.exp(1j * 0.5 * np.arange(4)) / 2.0
         np.testing.assert_allclose(amps, expected, atol=1e-15)
 
@@ -186,7 +196,7 @@ class TestFixedTotalConstructors:
     @pytest.mark.parametrize("n", [1, 2, 6, 13])
     def test_balanced_split_matches_binomial_root_weights(self, n):
         state = split_fock_state(n, 0.0, 0.5)
-        amps = state.sector_amplitudes(n)
+        amps = oracle_sector_amplitudes(state, n)
         expected = np.array(
             [math.sqrt(math.comb(n, m) / 2.0**n) for m in range(n + 1)]
         )
@@ -195,7 +205,7 @@ class TestFixedTotalConstructors:
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_extreme_transmissivity_sends_all_photons_one_way(self, t):
         state = split_fock_state(4, 0.0, t)
-        amps = state.sector_amplitudes(4)
+        amps = oracle_sector_amplitudes(state, 4)
         expected = np.zeros(5)
         expected[4 if t == 1.0 else 0] = 1.0
         np.testing.assert_allclose(np.abs(amps), expected, atol=1e-15)
@@ -205,8 +215,8 @@ class TestFixedTotalConstructors:
             split_fock_state(2, 0.0, 1.5)
 
     def test_single_photon_split_equals_number_phase_state_up_to_global_phase(self):
-        a = number_phase_state(1, 0.9).sector_amplitudes(1)
-        b = split_fock_state(1, 0.9, 0.5).sector_amplitudes(1)
+        a = oracle_sector_amplitudes(number_phase_state(1, 0.9), 1)
+        b = oracle_sector_amplitudes(split_fock_state(1, 0.9, 0.5), 1)
         overlap = abs(np.vdot(a, b))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -217,12 +227,12 @@ class TestFixedTotalConstructors:
         # are integers summing to d^n, and each division rounds correctly
         a, d = Fraction(t).numerator, Fraction(t).denominator
         want = [math.sqrt(math.comb(n, m) * a**m * (d - a) ** (n - m) / d**n) for m in range(n + 1)]
-        amps = split_fock_state(n, 0.0, t).sector_amplitudes(n)
+        amps = oracle_sector_amplitudes(split_fock_state(n, 0.0, t), n)
         np.testing.assert_allclose(np.abs(amps), want, rtol=0, atol=1e-12)
 
     def test_large_split_uses_stable_log_weights(self):
         state = split_fock_state(400, 0.0, 0.5)
-        amps = state.sector_amplitudes(400)
+        amps = oracle_sector_amplitudes(state, 400)
         assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
         # symmetric weights at t = 1/2
         np.testing.assert_allclose(np.abs(amps), np.abs(amps[::-1]), rtol=1e-12)
@@ -468,81 +478,17 @@ class TestNumberDistributions:
 
 class TestSectorMixtures:
     def test_point_mass_mixture_is_the_pure_sector_state(self):
-        dist = NumberDistribution.point(3)
-        mix = mixture_over_sectors(dist, lambda n: number_phase_state(n, 0.0))
-        assert len(mix.sectors) == 1
-        total, weight, sector = mix.sectors[0]
-        assert (total, weight) == (3, 1.0)
+        mix = flat_mixture(NumberDistribution.point(3))
+        assert (mix.totals().tolist(), mix.weights().tolist()) == ([3], [1.0])
         np.testing.assert_allclose(
-            sector.amps, number_phase_state(3, 0.0).sector_amplitudes(3), atol=1e-15
+            mix.amps, oracle_sector_amplitudes(number_phase_state(3, 0.0), 3), atol=1e-15
         )
-
-    def test_off_sector_support_is_rejected_naming_the_sector(self):
-        dist = NumberDistribution.point(2)
-
-        def leaky_builder(n):
-            c = np.zeros((n + 2, n + 2), dtype=complex)
-            c[0, n] = 1.0
-            c[n + 1, n + 1] = 1e-6  # mass on total 2n+2
-            return PureTwoModeState.normalized(c)
-
-        with pytest.raises(ValueError, match="sector 2"):
-            mixture_over_sectors(dist, leaky_builder)
 
     def test_weights_follow_the_distribution(self):
         dist = poissonian_distribution(2.0)
-        mix = mixture_over_sectors(dist, lambda n: number_phase_state(n, 0.0))
+        mix = flat_mixture(dist)
         np.testing.assert_allclose(mix.weights(), dist.masses(), atol=1e-15)
         np.testing.assert_array_equal(mix.totals(), dist.support())
-
-    def test_fast_amplitude_path_matches_full_builder(self):
-        dist = thermal_distribution(1.0)
-        slow = mixture_over_sectors(dist, lambda n: split_fock_state(n, 0.2, 0.5))
-        fast = mixture_from_sector_amplitudes(
-            dist, joined(lambda n: split_fock_state(n, 0.2, 0.5).sector_amplitudes(n))
-        )
-        for (na, wa, sa), (nb, wb, sb) in zip(slow.iter_sectors(), fast.iter_sectors()):
-            assert na == nb
-            assert wa == pytest.approx(wb, abs=1e-15)
-            np.testing.assert_allclose(sa.amps, sb.amps, atol=1e-14)
-
-    def test_sector_state_requires_matching_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            SectorState(3, np.ones(3, dtype=complex) / math.sqrt(3))
-
-    def test_nan_sector_amplitudes_and_weights_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            SectorState(1, np.array([np.nan, 1.0], dtype=complex))
-        s0 = SectorState(0, np.ones(1, dtype=complex))
-        s1 = SectorState(1, np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError, match="sum"):
-            SectorMixture(((0, 0.5, s0), (1, float("nan"), s1)))
-
-    def test_mixture_rejects_unsorted_sectors(self):
-        s0 = SectorState(0, np.ones(1, dtype=complex))
-        s1 = SectorState(1, np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError, match="increasing"):
-            SectorMixture(((1, 0.5, s1), (0, 0.5, s0)))
-
-    def test_flat_and_triple_built_mixtures_are_equal(self, rng):
-        dist = poissonian_distribution(4.0)
-        raw = {int(n): 3.0 * rand_single(rng, int(n) + 1) for n in dist.support()}
-        flat = mixture_from_sector_amplitudes(dist, joined(lambda n: raw[n]))
-        triples = SectorMixture(
-            (n, w, SectorState(n, raw[n] / math.sqrt(float(np.sum(np.abs(raw[n]) ** 2)))))
-            for n, w in zip(dist.support().tolist(), dist.masses().tolist())
-        )
-        for a, b in (
-            (flat.amps, triples.amps),
-            (flat.starts, triples.starts),
-            (flat.totals(), triples.totals()),
-            (flat.weights(), triples.weights()),
-            *zip(flat.sector_view, triples.sector_view),
-        ):
-            np.testing.assert_array_equal(a, b)
-        for (na, wa, sa), (nb, wb, sb) in zip(flat.sectors, triples.sectors, strict=True):
-            assert (na, wa) == (nb, wb)
-            np.testing.assert_array_equal(sa.amps, sb.amps)
 
     def test_sector_triples_are_built_only_when_read(self):
         mix = mixture_from_sector_amplitudes(
@@ -554,7 +500,7 @@ class TestSectorMixtures:
         relative_phase_density(mix)
         sample_local_phases(mix, 50, seed=1)
         assert "sectors" not in vars(mix)
-        assert [n for n, _, _ in mix.iter_sectors()] == mix.totals().tolist()
+        assert [n for n, _, _ in mix.sectors] == mix.totals().tolist()
         assert "sectors" in vars(mix)
 
     # A valid flat mixture (sector 0 and sector 1) and, per case, the arrays that break one check.
@@ -563,6 +509,7 @@ class TestSectorMixtures:
     @pytest.mark.parametrize("match,bad", [
         ("at least one", {"totals": [], "weights": [], "starts": [0], "amps": []}),
         ("increasing", {"totals": [1, 1]}),
+        ("increasing", {"totals": [1, 0], "starts": [0, 2, 3], "amps": [0.6, 0.8j, 1.0]}),
         (">= 0", {"weights": [1.5, -0.5]}),
         ("sum", {"weights": [0.5, float("nan")]}),
         ("sum", {"weights": [0.5, 0.6]}),
@@ -575,12 +522,7 @@ class TestSectorMixtures:
         dtypes = {"totals": np.int64, "weights": float, "starts": np.int64, "amps": complex}
         args = [np.array(arrays[k], dtype=dtypes[k]) for k in ("totals", "weights", "starts", "amps")]
         with pytest.raises(ValueError, match=match):
-            SectorMixture._flat(*args)
-        if not bad.keys() & {"starts", "amps"}:  # the same check on (N, weight, SectorState) triples
-            triples = [(n, w, SectorState(n, np.ones(n + 1) / math.sqrt(n + 1)))
-                       for n, w in zip(arrays["totals"], arrays["weights"])]
-            with pytest.raises(ValueError, match=match):
-                SectorMixture(triples)
+            SectorMixture(*args)
 
     @pytest.mark.parametrize("match,builder", [
         ("sectors 2..2 need 3 amplitudes", joined(lambda n: np.ones(n))),
@@ -610,12 +552,6 @@ class TestSectorMixtures:
         with pytest.raises(TruncationError, match="an array needs"):
             fock.require_array_bytes(fock.MAX_ARRAY_BYTES + 1, "an array")
 
-    def test_mixture_distribution_roundtrip(self):
-        dist = poissonian_distribution(1.5)
-        mix = mixture_over_sectors(dist, lambda n: number_phase_state(n, 0.0))
-        again = mix.distribution()
-        assert again.mean == pytest.approx(dist.mean, abs=1e-12)
-        assert again.variance == pytest.approx(dist.variance, abs=1e-12)
 
 
 def assert_flat_build_matches_oracle(dist, phi, t):
@@ -809,10 +745,10 @@ class TestBuildLimits:
 def test_sector_embedding_roundtrip(total, seed):
     rng = np.random.default_rng(seed)
     amps = rand_single(rng, total + 1)
-    state = SectorState(total, amps).to_pure_state()
-    assert abs(state.total_mass() - 1.0) < 1e-12
-    np.testing.assert_allclose(state.sector_amplitudes(total), amps, atol=1e-13)
-    masses = state.sector_masses()
+    state = PureTwoModeState.from_sector(total, amps)
+    masses = oracle_sector_masses(state)
+    assert abs(masses.sum() - 1.0) < 1e-12
+    np.testing.assert_allclose(oracle_sector_amplitudes(state, total), amps, atol=1e-13)
     assert masses[total] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -821,8 +757,7 @@ def test_sector_embedding_roundtrip(total, seed):
     t=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_split_amplitude_mass_is_binomial(n, t):
-    state = split_fock_state(n, 0.0, t)
-    amps = state.sector_amplitudes(n)
+    amps = oracle_sector_amplitudes(split_fock_state(n, 0.0, t), n)
     assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
     mean = float(np.sum(np.abs(amps) ** 2 * np.arange(n + 1)))
     assert mean == pytest.approx(n * t, abs=1e-9)

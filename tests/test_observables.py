@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npsteer import (
+    PureTwoModeState,
     REPORT_FIELDS,
     TruncationBiasWarning,
     dispersions,
@@ -15,7 +16,6 @@ from npsteer import (
     gaussian_distribution,
     hz_moments,
     mixture_from_sector_amplitudes,
-    mixture_over_sectors,
     number_moments,
     number_phase_state,
     observable_report,
@@ -30,6 +30,8 @@ from npsteer import fock, observables
 from oracles import (
     GRID_CASES,
     csv_row,
+    flat_mixture,
+    mixture_sectors,
     oracle_exp_phase_single,
     oracle_grid_moments_in_place,
     oracle_ladder_moments,
@@ -61,9 +63,7 @@ class TestNumberMoments:
         assert nm.n_var == pytest.approx(math.sinh(2 * r) ** 2, abs=1e-6)
 
     def test_thermal_mixture_total_variance(self):
-        mix = mixture_over_sectors(
-            thermal_distribution(1.0), lambda n: number_phase_state(n, 0.0)
-        )
+        mix = flat_mixture(thermal_distribution(1.0))
         nm = number_moments(mix)
         assert nm.n_var == pytest.approx(2.0, abs=1e-8)
 
@@ -123,14 +123,12 @@ class TestExpPhase:
 
     def test_poissonian_mixture_matches_weighted_sector_values(self):
         dist = poissonian_distribution(5.0)
-        mix = mixture_over_sectors(dist, lambda n: number_phase_state(n, 0.0))
+        mix = flat_mixture(dist)
         want = sum(p * n / (n + 1) for n, p in dist.probs.items())
         assert exp_phase_relative(mix) == pytest.approx(want, abs=1e-12)
 
     def test_mixture_value_matches_density_matrix_oracle(self, rng):
-        mix = mixture_over_sectors(
-            thermal_distribution(1.0), lambda n: split_fock_state(n, 0.4, 0.5)
-        )
+        mix = flat_mixture(thermal_distribution(1.0), "split_fock", 0.4, 0.5)
         want = oracle_moments(mix)["e_rel"]
         assert exp_phase_relative(mix) == pytest.approx(want, abs=1e-12)
 
@@ -239,8 +237,6 @@ class TestSingleModeMoments:
         amps = rand_single(rng, 8)
         state_grid = np.zeros((8, 8), dtype=complex)
         state_grid[:, 0] = amps
-        from npsteer import PureTwoModeState
-
         two_mode = PureTwoModeState.normalized(state_grid)
         mean, var, d2 = single_mode_moments(amps)
         nm = number_moments(two_mode)
@@ -359,7 +355,7 @@ def test_mixture_dispersion_never_below_best_sector(seed):
     mix = rand_mixture(rng, max_total=7, n_sectors=3)
     e_mix = abs(exp_phase_relative(mix))
     weighted = sum(
-        w * abs(exp_phase_relative(sec.to_pure_state()))
-        for _, w, sec in mix.iter_sectors()
+        w * abs(exp_phase_relative(PureTwoModeState.from_sector(n, amps)))
+        for n, w, amps in mixture_sectors(mix)
     )
     assert e_mix <= weighted + 1e-12

@@ -21,7 +21,6 @@ from npsteer import (
     joint_local_phase_density,
     linear_phase_variance,
     mixture_from_sector_amplitudes,
-    mixture_over_sectors,
     number_phase_state,
     nyquist_minimum,
     phase_grid,
@@ -38,6 +37,7 @@ from npsteer import (
 
 from npsteer import fock, phase_povm
 from oracles import (
+    flat_mixture,
     joined,
     oracle_bootstrap_std,
     oracle_density_loop,
@@ -59,15 +59,11 @@ FAMILY_STATES = [
     ("tmss", lambda: two_mode_squeezed_state(0.7, cutoff=28)),
     (
         "poissonian_mixture",
-        lambda: mixture_over_sectors(
-            poissonian_distribution(3.0), lambda n: number_phase_state(n, 0.1)
-        ),
+        lambda: flat_mixture(poissonian_distribution(3.0), "number_phase", 0.1),
     ),
     (
         "thermal_mixture",
-        lambda: mixture_over_sectors(
-            thermal_distribution(1.0), lambda n: split_fock_state(n, 0.0, 0.5)
-        ),
+        lambda: flat_mixture(thermal_distribution(1.0), "split_fock", 0.0, 0.5),
     ),
 ]
 
@@ -277,9 +273,7 @@ class TestSummedProfiles:
 
         monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
         monkeypatch.setattr(phase_povm, "_Team", no_team)
-        poisson50 = mixture_over_sectors(
-            poissonian_distribution(50.0), lambda n: split_fock_state(n, 0.0, 0.5)
-        )
+        poisson50 = flat_mixture(poissonian_distribution(50.0), "split_fock", 0.0, 0.5)
         for state in (number_phase_state(1000, 0.0), split_fock_state(400, 0.0, 0.5), poisson50):
             relative_phase_density(state)
         sample_local_phases(rand_mixture(rng, max_total=60, n_sectors=12), 300, 17)
@@ -391,9 +385,7 @@ class TestSampling:
         )
 
     def test_fixed_seed_pins_the_mixture_stream(self):
-        mix = mixture_over_sectors(
-            poissonian_distribution(2.0), lambda n: number_phase_state(n, 0.0)
-        )
+        mix = flat_mixture(poissonian_distribution(2.0))
         m1, m2 = sample_local_phases(mix, 4, seed=7)
         np.testing.assert_allclose(
             m1.phis,
@@ -414,9 +406,7 @@ class TestSampling:
         np.testing.assert_array_equal(a[1].phis, b[1].phis)
 
     @pytest.mark.parametrize("make", [lambda: split_fock_state(4, 0.3, 0.5),
-                                      lambda: mixture_over_sectors(
-                                          poissonian_distribution(2.0),
-                                          lambda n: number_phase_state(n, 0.0))])
+                                      lambda: flat_mixture(poissonian_distribution(2.0))])
     def test_batches_partition_the_sequential_stream(self, make):
         state = make()
         full = sample_local_phases(state, 40, seed=11)

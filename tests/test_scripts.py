@@ -1,4 +1,5 @@
-"""The paper scripts, run small: pinned output bytes and the paper's robustness claims.
+"""The paper scripts, run small: pinned output bytes and the paper's robustness claims;
+and the README's Library example, run as it stands.
 
 ``script_goldens.json`` holds every CSV that ``scripts/figure_data.py --n-max 5``
 and ``scripts/noise_robustness.py --steps 16`` write, and the stdout of the
@@ -78,6 +79,17 @@ def test_poissonian_and_thermal_dephasing_certify_nothing(outputs, name, entry, 
     for row in table:
         for column in columns:
             assert row[column] < 0.0, (entry, row)
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme_library"}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert (tmp_path / "s.csv").stat().st_size > 0
+    assert type(namespace["mix"]).__name__ == "SectorMixture"
+    assert "NP_ENT" in capsys.readouterr().out
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from npsteer import (
     split_fock_state,
     two_mode_squeezed_state,
 )
+
+from oracles import mixture_sectors, oracle_sector_amplitudes
 
 
 class TestParsing:
@@ -45,7 +48,7 @@ class TestParsing:
         state = spec.build()
         assert isinstance(state, SectorMixture)
         dist = poissonian_distribution(2.0)
-        got = dict(zip((n for n, _, _ in state.iter_sectors()), state.weights()))
+        got = dict(zip(state.totals().tolist(), state.weights()))
         for n, p in zip(dist.support(), dist.masses()):
             assert got.get(int(n), 0.0) == pytest.approx(float(p), abs=1e-15)
 
@@ -55,9 +58,8 @@ class TestParsing:
             ' "transmissivity": 0.3, "noise": {"kind": "point", "n": 5}}'
         )
         state = spec.build()
-        assert len(state.sectors) == 1
-        assert state.sectors[0][0] == 5
-        assert state.sectors[0][1] == pytest.approx(1.0)
+        assert state.totals().tolist() == [5]
+        assert state.weights().tolist() == [1.0]
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "state.json"
@@ -207,7 +209,38 @@ class TestStateSpecObject:
             ' "transmissivity": 0.6, "noise": {"kind": "thermal", "mean": 1.5}}'
         )
         state = spec.build()
-        for total, _, sector in state.iter_sectors():
-            want = split_fock_state(total, 0.3, 0.6).sector_amplitudes(total)
-            overlap = abs(np.vdot(want, sector.amps))
+        for total, _, amps in mixture_sectors(state):
+            want = oracle_sector_amplitudes(split_fock_state(total, 0.3, 0.6), total)
+            overlap = abs(np.vdot(want, amps))
             assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+# One built state per family, and a mixture per noise kind and base.
+TRACED_SPECS = [
+    {"family": "number_phase", "n": 3, "phi": 0.2},
+    {"family": "split_fock", "n": 4, "transmissivity": 0.3},
+    {"family": "tmss", "r": 0.5},
+    {"family": "mixture", "base": "number_phase", "noise": {"kind": "poissonian", "mean": 3.0}},
+    {"family": "mixture", "base": "number_phase", "noise": {"kind": "thermal", "mean": 1.0}},
+    {"family": "mixture", "base": "number_phase", "noise": {"kind": "gaussian", "mean": 40.0, "std": 4.0}},
+    {"family": "mixture", "base": "split_fock", "noise": {"kind": "point", "n": 5}},
+]
+
+
+@pytest.mark.parametrize("spec", TRACED_SPECS, ids=lambda s: json.dumps(s))
+def test_built_states_expose_what_the_tracer_reads(spec):
+    """perfbench/tracer.py sizes a built state from ``coeffs`` and ``cutoff`` if it has a
+    grid, else from ``len(sectors)`` and the ``amps.nbytes`` of each sector triple's third
+    element. For a mixture those are the flat arrays' sizes, read through views."""
+    state = parse_state_spec(json.dumps(spec)).build()
+    if isinstance(state, PureTwoModeState):
+        assert state.coeffs.shape == (state.cutoff + 1, state.cutoff + 1)
+        return
+    assert len(state.sectors) == len(state.totals())
+    assert sum(s.amps.nbytes for _, _, s in state.sectors) == state.amps.nbytes
+    for (n, w, s), lo, hi in zip(state.sectors, state.starts[:-1], state.starts[1:]):
+        assert np.shares_memory(s.amps, state.amps)
+        assert s.amps.tobytes() == state.amps[lo:hi].tobytes()
+    assert [(n, w) for n, w, _ in state.sectors] == list(
+        zip(state.totals().tolist(), state.weights().tolist())
+    )
