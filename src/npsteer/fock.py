@@ -172,10 +172,7 @@ class PureTwoModeState:
 
     @classmethod
     def from_sector(cls, total: int, amps: np.ndarray) -> "PureTwoModeState":
-        """The state with amplitudes ``amps[m]`` on |m>|total - m>, normalized here.
-
-        ``amps`` must hold total + 1 entries of finite, nonzero norm.
-        """
+        """The state with amplitudes ``amps[m]`` on |m>|total - m>, m = 0..total, normalized."""
         raw = np.array(amps, dtype=np.complex128)
         if raw.shape != (total + 1,):
             raise ValueError(f"sector {total} needs {total + 1} amplitudes, got {raw.shape}")
@@ -720,9 +717,12 @@ class SectorMixture:
     not copies, read-only.
     """
 
-    def __init__(self, totals: np.ndarray, weights: np.ndarray, starts: np.ndarray, amps: np.ndarray):
+    def __init__(self, totals, weights, starts, amps):
         if len(totals) == 0:
             raise ValueError("mixture needs at least one sector")
+        k = len(totals)
+        if len(weights) != k or len(starts) != k + 1 or (starts[0], starts[-1]) != (0, len(amps)):
+            raise ValueError(f"{k} sectors need {k} weights, {k + 1} starts from 0 to {len(amps)}")
         if np.any(totals[1:] <= totals[:-1]):
             raise ValueError("sector labels must be strictly increasing")
         if np.any(weights < 0):
@@ -755,11 +755,8 @@ class SectorMixture:
 
     @cached_property
     def sectors(self) -> tuple[tuple[int, float, _SectorSlice], ...]:
-        """(N, weight, x) per sector, ``x.amps`` a view of ``amps``: no copy, no check.
-
-        Nothing in the package reads this; it stays for perfbench/tracer.py, which
-        sizes a built mixture by ``len(sectors)`` and each ``x.amps.nbytes``.
-        """
+        """(N, weight, x) per sector, ``x.amps`` a view of ``amps``. Only perfbench/tracer.py reads
+        it, to size a built mixture by ``len(sectors)`` and each ``x.amps.nbytes``."""
         bounds = zip(self.starts[:-1].tolist(), self.starts[1:].tolist())
         return tuple(
             (n, w, _SectorSlice(self.amps[lo:hi]))

@@ -508,6 +508,10 @@ class TestSectorMixtures:
 
     @pytest.mark.parametrize("match,bad", [
         ("at least one", {"totals": [], "weights": [], "starts": [0], "amps": []}),
+        ("2 sectors need 2 weights", {"weights": [1.0]}),
+        ("need 2 weights, 3 starts", {"starts": [0, 3]}),
+        ("3 starts from 0 to 4$", {"starts": [1, 2, 4], "amps": [0.0, 1.0, 0.6, 0.8j]}),
+        ("3 starts from 0 to 4$", {"amps": [1.0, 0.6, 0.8j, 0.0]}),
         ("increasing", {"totals": [1, 1]}),
         ("increasing", {"totals": [1, 0], "starts": [0, 2, 3], "amps": [0.6, 0.8j, 1.0]}),
         (">= 0", {"weights": [1.5, -0.5]}),
