@@ -86,7 +86,7 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(tmp_path)
     namespace = {"__name__": "readme_library"}
-    exec(compile(block, "README.md", "exec"), namespace)
+    exec(compile(block, "<README Library block>", "exec"), namespace)
     assert (tmp_path / "s.csv").stat().st_size > 0
     assert type(namespace["mix"]).__name__ == "SectorMixture"
     assert "NP_ENT" in capsys.readouterr().out
