@@ -5,134 +5,43 @@ view (pure states also have a Fock grid, built on demand for fixed-total
 ones); observables are exact sums on the amplitudes; the phase-difference
 POVM provides densities, sampling, and estimators; the criteria module
 turns observables into entanglement/steering verdicts.
+
+The names below are the API the README documents; every other public name
+is imported from its module (``npsteer.fock``, ``npsteer.observables``, ...).
 """
 from .criteria import (
-    BoundaryCurve,
-    CriterionVerdict,
-    DEFAULT_TOL,
-    HZVerdicts,
-    NaiveVerdicts,
-    SampledVerdicts,
     all_verdicts,
     boundary_curves,
-    hz_criteria,
-    naive_criteria,
     np_entanglement,
     np_steering,
-    sampled_np_verdicts,
     single_mode_ur_check,
 )
 from .fock import (
     ArraySizeError,
-    NumberDistribution,
     PureTwoModeState,
     SectorMixture,
-    State,
     TruncationError,
-    gaussian_distribution,
     mixture_from_sector_amplitudes,
     number_phase_state,
-    poissonian_distribution,
-    select_cutoff,
     split_fock_state,
-    thermal_distribution,
-    tmss_tail_mass,
     two_mode_squeezed_state,
 )
-from .observables import (
-    Dispersions,
-    HZMoments,
-    NumberMoments,
-    ObservableReport,
-    REPORT_FIELDS,
-    TruncationBiasWarning,
-    dispersions,
-    exp_phase_relative,
-    exp_phase_single,
-    hz_moments,
-    number_moments,
-    observable_report,
-    quadrature_sum_variance,
-)
+from .observables import ObservableReport, TruncationBiasWarning, observable_report
 from .phase_povm import (
-    DispersionEstimate,
-    JointPhaseDensity,
-    PhaseDensity,
-    SampleSet,
-    default_grid_size,
     estimate_relative_dispersion,
-    joint_local_phase_density,
-    linear_phase_variance,
-    nyquist_minimum,
-    phase_grid,
     relative_phase_density,
     sample_local_phases,
-    wrap_angle,
     write_samples_csv,
 )
-from .statespec import StateSpec, StateSpecError, load_state_spec, parse_state_spec
+from .statespec import parse_state_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArraySizeError",
-    "BoundaryCurve",
-    "CriterionVerdict",
-    "DEFAULT_TOL",
-    "DispersionEstimate",
-    "Dispersions",
-    "HZMoments",
-    "HZVerdicts",
-    "JointPhaseDensity",
-    "NaiveVerdicts",
-    "NumberDistribution",
-    "NumberMoments",
-    "ObservableReport",
-    "PhaseDensity",
-    "PureTwoModeState",
-    "REPORT_FIELDS",
-    "SampleSet",
-    "SampledVerdicts",
-    "SectorMixture",
-    "State",
-    "StateSpec",
-    "StateSpecError",
-    "TruncationBiasWarning",
-    "TruncationError",
-    "all_verdicts",
-    "boundary_curves",
-    "default_grid_size",
-    "dispersions",
-    "estimate_relative_dispersion",
-    "exp_phase_relative",
-    "exp_phase_single",
-    "gaussian_distribution",
-    "hz_criteria",
-    "hz_moments",
-    "joint_local_phase_density",
-    "linear_phase_variance",
-    "load_state_spec",
-    "mixture_from_sector_amplitudes",
-    "naive_criteria",
-    "np_entanglement",
-    "np_steering",
-    "number_moments",
-    "number_phase_state",
-    "nyquist_minimum",
-    "observable_report",
-    "parse_state_spec",
-    "phase_grid",
-    "poissonian_distribution",
-    "quadrature_sum_variance",
-    "relative_phase_density",
-    "sample_local_phases",
-    "sampled_np_verdicts",
-    "select_cutoff",
-    "single_mode_ur_check",
-    "split_fock_state",
-    "thermal_distribution",
-    "tmss_tail_mass",
-    "two_mode_squeezed_state",
-    "wrap_angle",
-    "write_samples_csv",
+    "ArraySizeError", "ObservableReport", "PureTwoModeState", "SectorMixture",
+    "TruncationBiasWarning", "TruncationError", "all_verdicts", "boundary_curves",
+    "estimate_relative_dispersion", "mixture_from_sector_amplitudes", "np_entanglement",
+    "np_steering", "number_phase_state", "observable_report", "parse_state_spec",
+    "relative_phase_density", "sample_local_phases", "single_mode_ur_check",
+    "split_fock_state", "two_mode_squeezed_state", "write_samples_csv",
 ]

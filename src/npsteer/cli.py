@@ -152,8 +152,6 @@ def _check_asserts(spec: str | None, verdicts: list[CriterionVerdict]) -> int:
 
 
 def _load_spec(args: argparse.Namespace) -> StateSpec:
-    if not args.state:
-        raise _UsageError("--state is required for this command")
     if args.tail_tol is not None and not 0.0 < args.tail_tol < 1.0:
         raise _UsageError(
             f"--tail-tol must be finite with 0 < tail_tol < 1, got {args.tail_tol!r}"
@@ -206,11 +204,11 @@ def _writable(*paths: str | None):
 
     Opening for append creates a missing file and leaves an existing one as it
     is; the files created here are removed again if the work fails. A path of
-    None (output to stdout) is skipped.
+    None (output to stdout) is skipped; an empty one cannot be written.
     """
     created = []
     try:
-        for path in filter(None, paths):
+        for path in (p for p in paths if p is not None):
             existed = os.path.exists(path)
             try:
                 open(path, "a").close()
@@ -232,7 +230,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report, verdicts = _evaluate(spec, args)
         for v in verdicts:
             print(_verdict_line(v))
-        if (args.format or "json") == "json":
+        if args.format == "json":
             payload = {
                 "spec": _spec_echo(spec),
                 "report": report.to_json_dict(),
@@ -242,7 +240,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             values = _columns(report, verdicts)
             text = _table(tuple(values), [values])
-        if args.out:
+        if args.out is not None:
             _write(args.out, text)
         else:
             print(text, end="")
@@ -250,12 +248,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.sweep:
-        raise _UsageError("sweep requires --sweep var:lo:hi:step")
-    if not args.out:
-        raise _UsageError("sweep requires --out")
-    if args.format == "json":
-        raise _UsageError("sweep emits CSV; drop --format json")
     spec = _load_spec(args)
     var, values = _parse_range(args.sweep, SWEEP_VARS)
     rows = []
@@ -274,8 +266,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise _UsageError("sample requires --out")
     if args.shots < 2:
         raise _UsageError("--shots must be >= 2")
     if not (math.isfinite(args.z) and args.z >= 0.0):
@@ -316,9 +306,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise _UsageError("curves requires --out")
-    _, values = _parse_range(args.sweep or DEFAULT_CURVE_RANGE, ("d2",))
+    _, values = _parse_range(DEFAULT_CURVE_RANGE if args.sweep is None else args.sweep, ("d2",))
     if float(values.min()) <= 0.0 or float(values.max()) > 1.0:
         raise _UsageError("curves grid must stay inside (0, 1]")
     with _writable(args.out):
@@ -335,6 +323,37 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every flag, by name, with its argparse keywords
+_FLAGS = {
+    "--state": dict(help="state spec: JSON file path or inline JSON object"),
+    "--out": dict(help="output file path"),
+    "--format": dict(choices=("csv", "json"), default="json", help="payload format (default json)"),
+    "--shots": dict(type=int, default=DEFAULT_SHOTS,
+                    help=f"number of sampling shots (default {DEFAULT_SHOTS})"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help=f"sampling seed (default {DEFAULT_SEED})"),
+    "--grid": dict(type=int, default=None, help="phase-grid size K (default: automatic per state)"),
+    "--tail-tol": dict(type=float, default=None,
+                       help="truncation tail tolerance (default 1e-10; spec file wins)"),
+    "--sweep": dict(default=None,
+                    help="range var:lo:hi:step (sweep: N|r|mean|std|transmissivity; curves: d2)"),
+    "--z": dict(type=float, default=DEFAULT_Z,
+                help=f"z-score for sampled verdicts (default {DEFAULT_Z})"),
+    "--assert": dict(dest="assert_spec", default=None,
+                     help="comma list ID=violated|ok; exit 1 on mismatch"),
+}
+
+# Each command: its function, its help, and the flags it reads; a flag marked "!" is required.
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate observables and criteria on one state",
+             "--state! --out --format --grid --tail-tol --assert"),
+    "sweep": (cmd_sweep, "tabulate criterion margins along a parameter range",
+              "--state! --sweep! --out! --grid --tail-tol"),
+    "sample": (cmd_sample, "simulate local phase measurements and estimate the dispersion",
+               "--state! --out! --shots --seed --grid --tail-tol --z --assert"),
+    "curves": (cmd_curves, "emit boundary-curve data for plotting", "--out! --sweep"),
+}
+
+
 @functools.cache  # built on the first call, then shared by every later one in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -342,46 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Number-phase entanglement and steering calculator for two bosonic modes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("eval", "evaluate observables and criteria on one state"),
-        ("sweep", "tabulate criterion margins along a parameter range"),
-        ("sample", "simulate local phase measurements and estimate the dispersion"),
-        ("curves", "emit boundary-curve data for plotting"),
-    ):
+    for name, (_, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--state", help="state spec: JSON file path or inline JSON object")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="payload format for eval (default json)")
-        p.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
-                       help=f"number of sampling shots (default {DEFAULT_SHOTS})")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"sampling seed (default {DEFAULT_SEED})")
-        p.add_argument("--grid", type=int, default=None,
-                       help="phase-grid size K (default: automatic per state)")
-        p.add_argument("--tail-tol", type=float, default=None, dest="tail_tol",
-                       help="truncation tail tolerance (default 1e-10; spec file wins)")
-        p.add_argument("--sweep", default=None,
-                       help="range var:lo:hi:step (sweep: N|r|mean|std|transmissivity; curves: d2)")
-        p.add_argument("--z", type=float, default=DEFAULT_Z,
-                       help=f"z-score for sampled verdicts (default {DEFAULT_Z})")
-        p.add_argument("--assert", dest="assert_spec", default=None,
-                       help="comma list ID=violated|ok; exit 1 on mismatch")
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            p.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
     return parser
-
-
-_COMMANDS = {
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "sample": cmd_sample,
-    "curves": cmd_curves,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
@@ -25,10 +24,6 @@ DEFAULT_TAIL_TOL = 1e-10
 # Largest single dense array a state or density may allocate (1 GiB): an
 # amplitude grid up to cutoff 8191, a joint phase density up to K = 8192.
 MAX_ARRAY_BYTES = 1 << 30
-
-# Peak bytes a point of a trimmed noise support costs while
-# NumberDistribution.from_probs builds its dict (about 240 measured)
-SUPPORT_POINT_BYTES = 256
 
 # math.comb stays exact and convertible to float up to roughly this order
 _EXACT_BINOM_LIMIT = 300
@@ -46,12 +41,31 @@ class ArraySizeError(TruncationError):
     """One array would exceed MAX_ARRAY_BYTES; raised before it is allocated."""
 
 
-def require_array_bytes(nbytes: int, what: str) -> None:
-    """Raise ArraySizeError, naming ``what`` and ``nbytes``, if they exceed MAX_ARRAY_BYTES."""
+def require_array_bytes(nbytes: int, what: str, at_least: bool = False) -> None:
+    """Raise ArraySizeError, naming ``what`` and ``nbytes``, if they exceed MAX_ARRAY_BYTES.
+
+    ``at_least`` says that ``nbytes`` is a lower bound on what ``what`` needs.
+    """
     if nbytes > MAX_ARRAY_BYTES:
         raise ArraySizeError(
-            f"{what} needs {nbytes:,} bytes, over the {MAX_ARRAY_BYTES:,}-byte limit on one array"
+            f"{what} needs {'at least ' if at_least else ''}{nbytes:,} bytes, "
+            f"over the {MAX_ARRAY_BYTES:,}-byte limit on one array"
         )
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array: an int64 array itself, else a converted copy.
+
+    Values that are not integers raise ValueError, naming ``what``.
+    """
+    a = np.asarray(values)
+    if a.dtype != np.int64:
+        with np.errstate(invalid="ignore"):
+            b = a.astype(np.int64) if a.dtype.kind in "biuf" else None
+        if b is None or not np.array_equal(a, b):
+            raise ValueError(f"{what} must be integers, got {a!r}")
+        a = b
+    return a
 
 
 class SectorView(NamedTuple):
@@ -522,63 +536,49 @@ def two_mode_squeezed_state(
     return PureTwoModeState._from_diagonal(amps)  # at r = 0 the vacuum |0>|0>
 
 
-@dataclass(frozen=True)
 class NumberDistribution:
-    """Discrete distribution over total photon number.
+    """Discrete distribution over total photon number, as two read-only arrays.
 
-    ``probs`` maps N to probability mass; ``mean`` and ``variance`` are
-    cached at construction. ``meta['kept_mass']`` reports the fraction of
-    the untruncated mass retained before renormalization.
+    ``support`` holds the numbers N, int64, non-negative and strictly
+    increasing; ``masses`` their probabilities, floats >= 0 that sum to 1
+    within NORM_TOL. The constructor checks both (NaN-safe) and keeps them,
+    frozen; an array of the right dtype is kept, not copied.
+    ``meta['kept_mass']`` reports the fraction of the untruncated mass
+    retained before renormalization.
     """
 
-    probs: Mapping[int, float]
-    mean: float
-    variance: float
-    meta: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        masses = np.array(list(self.probs.values()), dtype=float)
-        if masses.size == 0:
-            raise ValueError("distribution needs at least one point of support")
-        if np.any(masses < 0):
+    def __init__(self, support, masses, meta: Mapping[str, object] | None = None):
+        support = _int64_array(support, "support")
+        masses = np.asarray(masses, dtype=float)
+        if support.ndim != 1 or support.shape != masses.shape or len(support) == 0:
+            raise ValueError(
+                f"support and masses must be equal-length non-empty 1-d arrays, "
+                f"got shapes {support.shape} and {masses.shape}"
+            )
+        if support[0] < 0 or np.any(support[1:] <= support[:-1]):
+            raise ValueError("support must be non-negative and strictly increasing")
+        if not np.all(masses >= 0.0):
             raise ValueError("probability masses must be >= 0")
         if not abs(masses.sum() - 1.0) <= NORM_TOL:
             raise ValueError(f"masses sum to {masses.sum()!r}, not 1")
-
-    @classmethod
-    def from_probs(
-        cls, probs: Mapping[int, float], meta: Mapping[str, object] | None = None
-    ) -> "NumberDistribution":
-        """Normalize a mapping N -> mass and cache its moments."""
-        numbers = np.array(sorted(probs), dtype=np.int64)
-        masses = np.array([probs[int(n)] for n in numbers], dtype=float)
-        if np.any(masses < 0):
-            raise ValueError("probability masses must be >= 0")
-        total = masses.sum()
-        if total <= 0:
-            raise ValueError("total mass must be positive")
-        masses = masses / total
-        # np.sum adds pairwise; np.dot would leave the order of the sum to the BLAS threads
-        mean = float(np.sum(masses * numbers))
-        variance = float(np.sum(masses * (numbers - mean) ** 2))
-        return cls(
-            probs=dict(zip((int(n) for n in numbers), (float(p) for p in masses))),
-            mean=mean,
-            variance=variance,
-            meta=dict(meta or {}),
-        )
+        for a in (support, masses):
+            a.flags.writeable = False
+        self.support, self.masses, self.meta = support, masses, dict(meta or {})
 
     @classmethod
     def point(cls, n: int) -> "NumberDistribution":
         if n < 0 or n != int(n):
             raise ValueError("point support must be a non-negative integer")
-        return cls.from_probs({int(n): 1.0}, meta={"kept_mass": 1.0})
+        return cls([int(n)], [1.0], meta={"kept_mass": 1.0})
 
-    def support(self) -> np.ndarray:
-        return np.array(sorted(self.probs), dtype=np.int64)
+    # np.sum adds pairwise; np.dot would leave the order of the sum to the BLAS threads
+    @property
+    def mean(self) -> float:
+        return float(np.sum(self.masses * self.support))
 
-    def masses(self) -> np.ndarray:
-        return np.array([self.probs[int(n)] for n in self.support()], dtype=float)
+    @property
+    def variance(self) -> float:
+        return float(np.sum(self.masses * (self.support - self.mean) ** 2))
 
 
 def _trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
@@ -611,17 +611,8 @@ def _distribution_from_raw(numbers, raw, tail_tol, what, extra_meta=None) -> Num
             f"whose mass fraction is {kept!r}; a smaller tail_tol keeps more of the support"
         )
     masses = masses / masses.sum()
-    require_array_bytes(
-        SUPPORT_POINT_BYTES * len(numbers),
-        f"{what}: the dict of {len(numbers):,} support points "
-        f"({SUPPORT_POINT_BYTES} bytes a point)",
-    )
-    meta = {"kept_mass": kept}
-    if extra_meta:
-        meta.update(extra_meta)
-    return NumberDistribution.from_probs(
-        {int(n): float(p) for n, p in zip(numbers, masses)}, meta=meta
-    )
+    masses /= masses.sum()  # again: the mixtures' weights, and so the outputs, carry its rounding
+    return NumberDistribution(numbers, masses, {"kept_mass": kept, **(extra_meta or {})})
 
 
 def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> NumberDistribution:
@@ -713,11 +704,15 @@ class SectorMixture:
     Stored flat: sector s has total ``totals()[s]``, weight ``weights()[s]``
     and unit-norm amplitudes ``amps[starts[s]:starts[s + 1]]`` on
     |m>|N - m>, m = 0..N. Totals strictly increase and the weights sum to
-    one. The constructor checks the four arrays (NaN-safe) and keeps them,
-    not copies, read-only.
+    one. The constructor takes array-likes, as int64 totals and starts (other
+    values raise ValueError), float weights and complex128 amplitudes. It
+    checks them (NaN-safe) and keeps them read-only: an array that already
+    has its dtype is kept and frozen, not copied.
     """
 
     def __init__(self, totals, weights, starts, amps):
+        totals, starts = _int64_array(totals, "totals"), _int64_array(starts, "starts")
+        weights, amps = np.asarray(weights, dtype=float), np.asarray(amps, dtype=np.complex128)
         if len(totals) == 0:
             raise ValueError("mixture needs at least one sector")
         k = len(totals)
@@ -780,12 +775,16 @@ def mixture_from_sector_amplitudes(
     is normalized in place (a read-only one is copied first), so a builder
     returns a new array.
     """
-    totals = dist.support()
+    totals = dist.support
+    what = f"a mixture of {len(totals)} sectors up to N = {totals[-1]}"
+    # The stored amplitudes, and the largest temporary of the build, take 16 bytes an entry.
+    # k distinct totals hold at least k (k + 1) / 2 entries: that bound refuses a wide support
+    # before the exact count builds one Python int a sector. The count is taken in Python
+    # ints because ``starts`` wraps around for totals near 2^63 / k.
+    k = len(totals)
+    require_array_bytes(16 * (k * (k + 1) // 2), what, at_least=True)
+    require_array_bytes(16 * (sum(totals.tolist()) + k), what)
     starts = _sector_starts(totals)
-    # the stored amplitudes, and the largest temporary of the build, take 16 bytes per entry,
-    # counted in Python ints: ``starts`` wraps around for totals near 2^63 / len(totals)
-    entries = sum(totals.tolist()) + len(totals)
-    require_array_bytes(16 * entries, f"a mixture of {len(totals)} sectors up to N = {totals[-1]}")
     amps = np.asarray(amps_builder(totals), dtype=np.complex128)
     if amps.shape != (starts[-1],):
         raise ValueError(
@@ -798,7 +797,7 @@ def mixture_from_sector_amplitudes(
     roots = np.sqrt(_sector_sums(np.square(mass, out=mass), starts))
     del mass
     amps /= np.repeat(roots, totals + 1)
-    return SectorMixture(totals, dist.masses(), starts, amps)
+    return SectorMixture(totals, dist.masses, starts, amps)
 
 
 State = PureTwoModeState | SectorMixture

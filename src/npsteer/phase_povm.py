@@ -162,6 +162,7 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     is shared with ``_helper_count()`` helper threads, DENSITY_BLOCK_CELLS split
     among the workers: each transforms its next block in its own buffers, then
     waits its turn to add its rows, in sector order, so the bits stay the same.
+    A smaller density runs the same loop on the calling thread alone.
     """
     k = grid_size
     lengths = np.diff(starts)
@@ -171,8 +172,10 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     cols = np.arange(int(lengths.max()))
     helpers = _helper_count()
     shared_rows = DENSITY_BLOCK_CELLS // ((1 + helpers) * k)
-    shared = helpers > 0 and shared_rows > 0 and n > (SHARED_DENSITY_BLOCKS - 1) * shared_rows
-    rows = shared_rows if shared else rows
+    if helpers > 0 and shared_rows > 0 and n > (SHARED_DENSITY_BLOCKS - 1) * shared_rows:
+        rows = shared_rows
+    else:
+        helpers = 0
     acc = np.zeros(k)
 
     def transform(first: int, pad: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -190,12 +193,6 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     def buffers():
         return np.zeros((rows, k), dtype=np.complex128), np.empty((rows, k))
 
-    if not shared:
-        pad, power = buffers()
-        for first in range(0, n, rows):
-            for row in transform(first, pad, power):
-                acc += row  # not power.sum(axis=0): that would reorder the sum
-        return acc
     team = _Team(helpers)
     claimed = added = 0
 
@@ -212,7 +209,7 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
                 if team.stopped:
                     return
                 for row in profiles:
-                    acc += row
+                    acc += row  # not power.sum(axis=0): that would reorder the sum
                 added += 1
                 team.turn.notify_all()
 

@@ -12,19 +12,17 @@ import math
 import numpy as np
 
 from npsteer import (
-    JointPhaseDensity,
-    NumberDistribution,
-    PhaseDensity,
     PureTwoModeState,
     SectorMixture,
     mixture_from_sector_amplitudes,
-    select_cutoff,
     two_mode_squeezed_state,
 )
 from npsteer import fock
-from npsteer.fock import NORM_TOL, SectorView, _tmss_weighted_tail
+from npsteer.fock import (
+    NORM_TOL, NumberDistribution, SectorView, _tmss_weighted_tail, select_cutoff,
+)
 from npsteer.observables import _clip_unit
-from npsteer.phase_povm import _write_csv
+from npsteer.phase_povm import JointPhaseDensity, PhaseDensity, _write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,9 +217,7 @@ def rand_mixture(rng: np.random.Generator, max_total: int, n_sectors: int) -> Se
     totals = sorted(rng.choice(max_total + 1, size=min(n_sectors, max_total + 1), replace=False))
     weights = rng.random(len(totals)) + 0.1
     weights /= weights.sum()
-    dist = NumberDistribution.from_probs(
-        {int(n): float(w) for n, w in zip(totals, weights)}
-    )
+    dist = NumberDistribution(totals, weights)
     amps = {int(n): rand_single(rng, int(n) + 1) for n in totals}
     return mixture_from_sector_amplitudes(dist, joined(lambda n: amps[n]))
 
@@ -263,7 +259,7 @@ def oracle_split_fock_amps(n: int, phi: float, transmissivity: float) -> np.ndar
 def oracle_mixture(dist: NumberDistribution, sector_amps) -> SectorMixture:
     """The mixture as the per-sector constructor built it: one ``sector_amps(N)`` call and one
     normalization per sector, written into a preallocated flat array."""
-    totals = dist.support()
+    totals = dist.support
     starts = np.concatenate(([0], np.cumsum(totals + 1)))
     amps = np.empty(starts[-1], dtype=np.complex128)
     for n, lo, hi in zip(totals.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
@@ -271,7 +267,7 @@ def oracle_mixture(dist: NumberDistribution, sector_amps) -> SectorMixture:
         if a.shape != (n + 1,):
             raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
         np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
-    return SectorMixture(totals, dist.masses(), starts, amps)
+    return SectorMixture(totals, dist.masses, starts, amps)
 
 
 def oracle_trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):

@@ -13,26 +13,26 @@ import pytest
 from npsteer import (
     PureTwoModeState,
     boundary_curves,
-    dispersions,
-    exp_phase_relative,
-    exp_phase_single,
-    gaussian_distribution,
-    hz_criteria,
-    hz_moments,
-    joint_local_phase_density,
     np_entanglement,
     np_steering,
-    number_moments,
     number_phase_state,
     observable_report,
-    poissonian_distribution,
-    quadrature_sum_variance,
     relative_phase_density,
     single_mode_ur_check,
     split_fock_state,
-    thermal_distribution,
     two_mode_squeezed_state,
 )
+from npsteer.criteria import hz_criteria
+from npsteer.fock import gaussian_distribution, poissonian_distribution, thermal_distribution
+from npsteer.observables import (
+    dispersions,
+    exp_phase_relative,
+    exp_phase_single,
+    hz_moments,
+    number_moments,
+    quadrature_sum_variance,
+)
+from npsteer.phase_povm import joint_local_phase_density
 from npsteer.cli import main as cli_main
 
 from oracles import (

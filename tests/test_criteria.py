@@ -5,24 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npsteer import (
-    CriterionVerdict,
     PureTwoModeState,
     all_verdicts,
     boundary_curves,
-    gaussian_distribution,
-    hz_criteria,
-    naive_criteria,
     np_entanglement,
     np_steering,
     number_phase_state,
     observable_report,
     relative_phase_density,
-    sampled_np_verdicts,
     single_mode_ur_check,
     split_fock_state,
-    thermal_distribution,
     two_mode_squeezed_state,
 )
+from npsteer.criteria import CriterionVerdict, hz_criteria, naive_criteria, sampled_np_verdicts
+from npsteer.fock import gaussian_distribution, thermal_distribution
 
 from oracles import flat_mixture, oracle_moments, rand_mixture, rand_product, rand_pure
 

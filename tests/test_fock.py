@@ -14,24 +14,26 @@ import npsteer
 from npsteer import fock, observables
 from npsteer import (
     ArraySizeError,
-    NumberDistribution,
     PureTwoModeState,
     SectorMixture,
     TruncationError,
-    gaussian_distribution,
-    joint_local_phase_density,
     mixture_from_sector_amplitudes,
     number_phase_state,
     observable_report,
-    poissonian_distribution,
     relative_phase_density,
     sample_local_phases,
-    select_cutoff,
     split_fock_state,
-    thermal_distribution,
-    tmss_tail_mass,
     two_mode_squeezed_state,
 )
+from npsteer.fock import (
+    NumberDistribution,
+    gaussian_distribution,
+    poissonian_distribution,
+    select_cutoff,
+    thermal_distribution,
+    tmss_tail_mass,
+)
+from npsteer.phase_povm import joint_local_phase_density
 
 from oracles import (
     GRID_CASES,
@@ -415,10 +417,15 @@ class TestDiagonalSqueezedState:
         assert state.coeffs.shape == (505, 505)
 
 
+def probs(dist) -> dict:
+    """The distribution's masses by photon number."""
+    return dict(zip(dist.support.tolist(), dist.masses.tolist()))
+
+
 class TestNumberDistributions:
     def test_poissonian_mode_ratio_is_exactly_one(self):
         dist = poissonian_distribution(5.0)
-        assert dist.probs[5] == dist.probs[4]
+        assert probs(dist)[5] == probs(dist)[4]
 
     @pytest.mark.parametrize("mean", [0.5, 2.0, 10.0, 50.0])
     def test_poissonian_moments(self, mean):
@@ -436,11 +443,11 @@ class TestNumberDistributions:
         mean = 3.0
         dist = thermal_distribution(mean)
         q = mean / (mean + 1.0)
-        assert dist.probs[7] / dist.probs[6] == pytest.approx(q, rel=1e-13)
+        assert probs(dist)[7] / probs(dist)[6] == pytest.approx(q, rel=1e-13)
 
     def test_gaussian_is_symmetric_about_integer_mean(self):
         dist = gaussian_distribution(100.0, math.sqrt(10.0))
-        assert dist.probs[95] == pytest.approx(dist.probs[105], rel=1e-13)
+        assert probs(dist)[95] == pytest.approx(probs(dist)[105], rel=1e-13)
         assert dist.mean == pytest.approx(100.0, abs=1e-8)
         assert dist.variance == pytest.approx(10.0, rel=1e-6)
 
@@ -450,7 +457,7 @@ class TestNumberDistributions:
 
     def test_gaussian_clips_at_zero_occupation(self):
         dist = gaussian_distribution(1.0, 2.0)
-        assert min(dist.probs) >= 0
+        assert dist.support[0] >= 0
 
     def test_kept_mass_reported_and_close_to_one(self):
         dist = thermal_distribution(2.0, tail_tol=1e-10)
@@ -458,7 +465,7 @@ class TestNumberDistributions:
 
     def test_point_distribution(self):
         dist = NumberDistribution.point(3)
-        assert dist.probs == {3: 1.0}
+        assert probs(dist) == {3: 1.0}
         assert dist.variance == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
@@ -467,13 +474,29 @@ class TestNumberDistributions:
             with pytest.raises(ValueError, match="mean"):
                 ctor(bad)
 
-    def test_masses_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            NumberDistribution({0: 0.5, 1: 0.4}, mean=0.0, variance=0.0)
+    @pytest.mark.parametrize("support,masses,match", [
+        ([], [], "non-empty"),
+        ([0, 1], [1.0], "equal-length"),
+        ([[0, 1]], [[0.5, 0.5]], "1-d"),
+        ([0.5, 1], [0.5, 0.5], "integers"),
+        (["0", "1"], [0.5, 0.5], "integers"),
+        ([-1, 1], [0.5, 0.5], "non-negative"),
+        ([1, 1], [0.5, 0.5], "strictly increasing"),
+        ([2, 1], [0.5, 0.5], "strictly increasing"),
+        ([0, 1], [1.5, -0.5], ">= 0"),
+        ([0, 1], [0.5, float("nan")], ">= 0"),
+        ([0, 1], [0.5, 0.4], "sum"),
+    ])
+    def test_constructor_checks(self, support, masses, match):
+        with pytest.raises(ValueError, match=match):
+            NumberDistribution(support, masses)
 
-    def test_nan_masses_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            NumberDistribution({0: 0.5, 1: float("nan")}, mean=0.0, variance=0.0)
+    def test_arrays_are_kept_read_only(self):
+        support, masses = np.array([2, 5]), np.array([0.25, 0.75])
+        dist = NumberDistribution(support, masses, {"kept_mass": 1.0})
+        assert dist.support is support and dist.masses is masses
+        assert not (support.flags.writeable or masses.flags.writeable)
+        assert (dist.mean, dist.variance) == (4.25, 1.6875)
 
 
 class TestSectorMixtures:
@@ -487,8 +510,8 @@ class TestSectorMixtures:
     def test_weights_follow_the_distribution(self):
         dist = poissonian_distribution(2.0)
         mix = flat_mixture(dist)
-        np.testing.assert_allclose(mix.weights(), dist.masses(), atol=1e-15)
-        np.testing.assert_array_equal(mix.totals(), dist.support())
+        np.testing.assert_allclose(mix.weights(), dist.masses, atol=1e-15)
+        assert mix.totals() is dist.support
 
     def test_sector_triples_are_built_only_when_read(self):
         mix = mixture_from_sector_amplitudes(
@@ -528,6 +551,31 @@ class TestSectorMixtures:
         with pytest.raises(ValueError, match=match):
             SectorMixture(*args)
 
+    def test_lists_are_converted(self):
+        mix = SectorMixture([0, 1], [0.5, 0.5], [0, 1, 3], [1, 0.6, 0.8j])
+        for got, want in zip((mix.totals(), mix.weights(), mix.starts, mix.amps),
+                             ([0, 1], [0.5, 0.5], [0, 1, 3], [1.0, 0.6, 0.8j])):
+            np.testing.assert_array_equal(got, want)
+        assert [a.dtype for a in (mix.totals(), mix.starts, mix.weights(), mix.amps)] == [
+            np.int64, np.int64, np.float64, np.complex128]
+
+    def test_arrays_of_their_dtype_are_kept_not_copied(self):
+        dtypes = {"totals": np.int64, "weights": float, "starts": np.int64, "amps": complex}
+        args = [np.array(self.FLAT[k], dtype=dtypes[k]) for k in dtypes]
+        mix = SectorMixture(*args)
+        kept = (mix.totals(), mix.weights(), mix.starts, mix.amps)
+        assert all(a is b for a, b in zip(args, kept))
+        assert not any(a.flags.writeable for a in args)
+
+    @pytest.mark.parametrize("bad", [
+        {"totals": [0, 1.5]}, {"starts": [0, 1, 3.5]}, {"totals": [0, float("nan")]},
+        {"starts": ["0", "1", "3"]},
+    ])
+    def test_non_integer_totals_or_starts_are_refused(self, bad):
+        arrays = {**self.FLAT, **bad}
+        with pytest.raises(ValueError, match="must be integers"):
+            SectorMixture(arrays["totals"], arrays["weights"], arrays["starts"], arrays["amps"])
+
     @pytest.mark.parametrize("match,builder", [
         ("sectors 2..2 need 3 amplitudes", joined(lambda n: np.ones(n))),
         ("norm", joined(lambda n: np.zeros(n + 1))),
@@ -560,7 +608,7 @@ class TestSectorMixtures:
 
 def assert_flat_build_matches_oracle(dist, phi, t):
     """Kernels, mixtures and fixed-total states equal the per-sector build exactly."""
-    totals = dist.support()
+    totals = dist.support
     for kernel, oracle in (
         (lambda tot: fock._number_phase_amps(tot, phi), lambda n: oracle_number_phase_amps(n, phi)),
         (lambda tot: fock._split_fock_amps(tot, phi, t), lambda n: oracle_split_fock_amps(n, phi, t)),
@@ -601,7 +649,7 @@ SECTOR_SETS = st.one_of(
 )
 def test_flat_build_equals_the_per_sector_build(totals, phi, t, seed):
     masses = np.random.default_rng(seed).random(len(totals)) + 0.05
-    dist = NumberDistribution.from_probs(dict(zip(totals, masses.tolist())))
+    dist = NumberDistribution(sorted(totals), masses / masses.sum())
     assert_flat_build_matches_oracle(dist, phi, t)
 
 
@@ -703,19 +751,17 @@ class TestBuildLimits:
         with pytest.raises(ArraySizeError, match=match):
             build()
 
-    def test_noise_support_over_the_limit_raises_before_its_dict(self, monkeypatch):
-        # 433,824 trimmed points at 256 bytes a point, from a 4 MB mass array.
+    def test_wide_noise_mixture_is_refused_from_its_sector_count(self, monkeypatch):
+        # 433,824 trimmed points, from a 4 MB mass array: the distribution fits, but its
+        # sectors hold at least 433,824 * 433,825 / 2 amplitudes.
         monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 16 << 20)
-
-        def from_probs(*args, **kwargs):
-            raise AssertionError("the support dict was built")
-
-        monkeypatch.setattr(NumberDistribution, "from_probs", from_probs)
+        dist = gaussian_distribution(1e6, 2e4)
+        assert len(dist.support) == 433_824
         with pytest.raises(ArraySizeError, match=(
-            r"^gaussian noise mean=1000000.0, std=20000.0: the dict of 433,824 support points "
-            r"\(256 bytes a point\) needs 111,058,944 bytes"
+            r"^a mixture of 433824 sectors up to N = \d+ needs at least "
+            r"1,505,629,574,400 bytes"
         )):
-            gaussian_distribution(1e6, 2e4)
+            mixture_from_sector_amplitudes(dist, lambda totals: pytest.fail("a sector was built"))
 
     @pytest.mark.parametrize("build", [
         lambda: number_phase_state(2, 1e308),
@@ -742,7 +788,7 @@ class TestBuildLimits:
                 gaussian_distribution(mean, std)
 
     def test_narrow_gaussian_is_a_point_mass(self):
-        assert gaussian_distribution(400.0, 1e-160).probs == {400: 1.0}
+        assert probs(gaussian_distribution(400.0, 1e-160)) == {400: 1.0}
 
 
 @given(total=st.integers(min_value=0, max_value=12), seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,5 @@
 """The paper scripts, run small: pinned output bytes and the paper's robustness claims;
-and the README's Library example, run as it stands.
+the README's Library example, run as it stands; and the README naming every export.
 
 ``script_goldens.json`` holds every CSV that ``scripts/figure_data.py --n-max 5``
 and ``scripts/noise_robustness.py --steps 16`` write, and the stdout of the
@@ -9,11 +9,14 @@ import csv
 import importlib.util
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+import npsteer
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = Path(__file__).parent / "script_goldens.json"
@@ -90,6 +93,11 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "s.csv").stat().st_size > 0
     assert type(namespace["mix"]).__name__ == "SectorMixture"
     assert "NP_ENT" in capsys.readouterr().out
+
+
+def test_every_export_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in npsteer.__all__ if not re.search(rf"\b{name}\b", readme)] == []
 
 
 if __name__ == "__main__":

@@ -7,15 +7,13 @@ import pytest
 from npsteer import (
     PureTwoModeState,
     SectorMixture,
-    StateSpec,
-    StateSpecError,
-    load_state_spec,
     number_phase_state,
     parse_state_spec,
-    poissonian_distribution,
     split_fock_state,
     two_mode_squeezed_state,
 )
+from npsteer.fock import poissonian_distribution
+from npsteer.statespec import StateSpec, StateSpecError, load_state_spec
 
 from oracles import mixture_sectors, oracle_sector_amplitudes
 
@@ -49,7 +47,7 @@ class TestParsing:
         assert isinstance(state, SectorMixture)
         dist = poissonian_distribution(2.0)
         got = dict(zip(state.totals().tolist(), state.weights()))
-        for n, p in zip(dist.support(), dist.masses()):
+        for n, p in zip(dist.support, dist.masses):
             assert got.get(int(n), 0.0) == pytest.approx(float(p), abs=1e-15)
 
     def test_point_noise_gives_single_sector(self):
