@@ -32,14 +32,12 @@ from .phase_povm import (
     sample_local_phases,
     write_samples_csv,
 )
-from .statespec import StateSpec, StateSpecError, load_state_spec
+from .statespec import SWEEP_KEYS, StateSpec, StateSpecError, load_state_spec
 
 DEFAULT_SHOTS = 10_000
 DEFAULT_SEED = 0
 DEFAULT_Z = 5.0
 DEFAULT_CURVE_RANGE = "d2:0.005:1.0:0.005"
-
-SWEEP_VARS = ("N", "r", "mean", "std", "transmissivity")
 
 CURVE_COLUMNS = (
     "d2",
@@ -249,7 +247,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    var, values = _parse_range(args.sweep, SWEEP_VARS)
+    var, values = _parse_range(args.sweep, tuple(SWEEP_KEYS))
     rows = []
     with _writable(args.out):
         for value in values.tolist():
@@ -280,7 +278,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             s1, s2, alongside=lambda: write_samples_csv(args.out, s1, s2)
         )
         n_mean, n_var, _, _ = number_moments(state)
-        verdicts = list(sampled_np_verdicts(n_var, est.d2_hat, est.std_error, z=args.z))
+        verdicts = list(sampled_np_verdicts(n_var, est.d2_hat, est.std_error, est.shots, z=args.z))
         print(
             f"d2_hat = {est.d2_hat:.6g} +/- {est.std_error:.3g} "
             f"({est.method}, {est.shots} shots)"
@@ -335,7 +333,7 @@ _FLAGS = {
     "--tail-tol": dict(type=float, default=None,
                        help="truncation tail tolerance (default 1e-10; spec file wins)"),
     "--sweep": dict(default=None,
-                    help="range var:lo:hi:step (sweep: N|r|mean|std|transmissivity; curves: d2)"),
+                    help=f"range var:lo:hi:step (sweep: {'|'.join(SWEEP_KEYS)}; curves: d2)"),
     "--z": dict(type=float, default=DEFAULT_Z,
                 help=f"z-score for sampled verdicts (default {DEFAULT_Z})"),
     "--assert": dict(dest="assert_spec", default=None,

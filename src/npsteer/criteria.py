@@ -4,8 +4,9 @@ Every check is reported as a :class:`CriterionVerdict` carrying the raw
 left-hand side, the bound it is compared against, the signed margin
 ``bound - lhs``, and the boolean verdict. Product criteria (NP_*, NAIVE_*,
 SM_UR) are violated when the left-hand side falls *below* the bound;
-moment criteria (HZ_*) are violated when it rises *above*. A small
-tolerance keeps states sitting exactly on a boundary from flapping.
+moment criteria (HZ_*) are violated when it rises *above*. A fixed
+tolerance, DEFAULT_TOL, keeps states sitting exactly on a boundary from
+flapping.
 """
 from __future__ import annotations
 
@@ -49,30 +50,28 @@ class CriterionVerdict:
         return out
 
 
-def _below_bound(cid, lhs, bound, tol, advisory=None) -> CriterionVerdict:
+def _below_bound(cid, lhs, bound, advisory=None) -> CriterionVerdict:
     """Verdict for criteria of the form lhs >= bound (violated below)."""
-    return CriterionVerdict(
-        cid, float(lhs), float(bound), float(bound - lhs), bool(lhs < bound - tol), advisory
-    )
+    violated = bool(lhs < bound - DEFAULT_TOL)
+    return CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated, advisory)
 
 
-def _above_bound(cid, lhs, bound, tol, advisory=None) -> CriterionVerdict:
+def _above_bound(cid, lhs, bound) -> CriterionVerdict:
     """Verdict for criteria of the form lhs <= bound (violated above)."""
-    return CriterionVerdict(
-        cid, float(lhs), float(bound), float(bound - lhs), bool(lhs > bound + tol), advisory
-    )
+    violated = bool(lhs > bound + DEFAULT_TOL)
+    return CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated)
 
 
-def np_entanglement(report: ObservableReport, tol: float = DEFAULT_TOL) -> CriterionVerdict:
+def np_entanglement(report: ObservableReport) -> CriterionVerdict:
     """Separable states satisfy (total-number variance + 1) * dispersion >= 1."""
     lhs = (report.n_var + 1.0) * report.d2_rel
-    return _below_bound("NP_ENT", lhs, 1.0, tol)
+    return _below_bound("NP_ENT", lhs, 1.0)
 
 
-def np_steering(report: ObservableReport, tol: float = DEFAULT_TOL) -> CriterionVerdict:
+def np_steering(report: ObservableReport) -> CriterionVerdict:
     """Non-steerable states satisfy (total-number variance + 1/4) * dispersion >= 1/4."""
     lhs = (report.n_var + 0.25) * report.d2_rel
-    return _below_bound("NP_STEER", lhs, 0.25, tol)
+    return _below_bound("NP_STEER", lhs, 0.25)
 
 
 class NaiveVerdicts(NamedTuple):
@@ -81,9 +80,7 @@ class NaiveVerdicts(NamedTuple):
     applicable: bool
 
 
-def naive_criteria(
-    report: ObservableReport, density: PhaseDensity, tol: float = DEFAULT_TOL
-) -> NaiveVerdicts:
+def naive_criteria(report: ObservableReport, density: PhaseDensity) -> NaiveVerdicts:
     """Additive number/linearized-phase checks, valid only for narrow densities.
 
     Uses the ordinary variance of the phase difference after re-centering;
@@ -96,8 +93,8 @@ def naive_criteria(
     applicable = report.d2_rel <= NAIVE_DISPERSION_LIMIT
     advisory = None if applicable else _NAIVE_ADVISORY.format(limit=NAIVE_DISPERSION_LIMIT)
     return NaiveVerdicts(
-        _below_bound("NAIVE_ENT", lhs, 2.0, tol, advisory),
-        _below_bound("NAIVE_STEER", lhs, 1.0, tol, advisory),
+        _below_bound("NAIVE_ENT", lhs, 2.0, advisory),
+        _below_bound("NAIVE_STEER", lhs, 1.0, advisory),
         applicable,
     )
 
@@ -108,7 +105,7 @@ class HZVerdicts(NamedTuple):
     steer_b_by_a: CriterionVerdict
 
 
-def hz_criteria(report: ObservableReport, tol: float = DEFAULT_TOL) -> HZVerdicts:
+def hz_criteria(report: ObservableReport) -> HZVerdicts:
     """Moment-based checks on |<a^dag b>|^2 against number correlators.
 
     Separable: |<a^dag b>|^2 <= <n_a n_b>. Steering of A by B (B's outcomes
@@ -118,18 +115,16 @@ def hz_criteria(report: ObservableReport, tol: float = DEFAULT_TOL) -> HZVerdict
     """
     lhs = abs(report.hz_adagb) ** 2
     return HZVerdicts(
-        _above_bound("HZ_ENT", lhs, report.hz_nanb, tol),
-        _above_bound("HZ_STEER_A_BY_B", lhs, report.hz_nanb + 0.5 * report.hz_na, tol),
-        _above_bound("HZ_STEER_B_BY_A", lhs, report.hz_nanb + 0.5 * report.hz_nb, tol),
+        _above_bound("HZ_ENT", lhs, report.hz_nanb),
+        _above_bound("HZ_STEER_A_BY_B", lhs, report.hz_nanb + 0.5 * report.hz_na),
+        _above_bound("HZ_STEER_B_BY_A", lhs, report.hz_nanb + 0.5 * report.hz_nb),
     )
 
 
-def single_mode_ur_check(
-    n_var: float, d2: float, tol: float = DEFAULT_TOL
-) -> CriterionVerdict:
+def single_mode_ur_check(n_var: float, d2: float) -> CriterionVerdict:
     """Single-mode number-phase uncertainty product; physical states never violate it."""
     lhs = (n_var + 0.25) * d2
-    return _below_bound("SM_UR", lhs, 0.25, tol)
+    return _below_bound("SM_UR", lhs, 0.25)
 
 
 class SampledVerdicts(NamedTuple):
@@ -138,29 +133,30 @@ class SampledVerdicts(NamedTuple):
 
 
 def sampled_np_verdicts(
-    n_var: float, d2_hat: float, d2_se: float, z: float = 5.0
+    n_var: float, d2_hat: float, d2_se: float, shots: int, z: float = 5.0
 ) -> SampledVerdicts:
     """NP verdicts from a sampled dispersion, claimed only at z standard errors.
 
     The number variance is taken as exact; the uncertainty on the product is
     the propagated dispersion error, and violation is claimed only when the
-    left-hand side stays below the bound even after adding z of those.
+    left-hand side stays below the bound even after adding z of those. The
+    claim takes the dispersion error as at least 1/sqrt(shots): the
+    delta-method standard error of d2_hat, 2|mu| sqrt(1 - |mu|^2) / sqrt(shots),
+    never exceeds it, while a bootstrap over a few shots can read near zero
+    and so certify a separable state.
     """
     if d2_se < 0:
         raise ValueError("standard error must be non-negative")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots!r}")
+    claim_se = max(d2_se, shots**-0.5)
+    advisory = f"sampled: violation requires clearing the bound by {z} standard errors"
     verdicts = []
     for cid, shift, bound in (("NP_ENT", 1.0, 1.0), ("NP_STEER", 0.25, 0.25)):
-        lhs = (n_var + shift) * d2_hat
-        se = (n_var + shift) * d2_se
+        lhs, se = (n_var + shift) * d2_hat, (n_var + shift) * claim_se
+        violated = bool(lhs + z * se < bound)
         verdicts.append(
-            CriterionVerdict(
-                cid,
-                float(lhs),
-                float(bound),
-                float(bound - lhs),
-                bool(lhs + z * se < bound),
-                advisory=f"sampled: violation requires clearing the bound by {z} standard errors",
-            )
+            CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated, advisory)
         )
     return SampledVerdicts(*verdicts)
 
@@ -207,14 +203,12 @@ def boundary_curves(which: str, d2_grid: np.ndarray) -> BoundaryCurve:
 
 
 def all_verdicts(
-    report: ObservableReport,
-    density: PhaseDensity | None = None,
-    tol: float = DEFAULT_TOL,
+    report: ObservableReport, density: PhaseDensity | None = None
 ) -> list[CriterionVerdict]:
     """Every two-mode verdict this package defines, in reporting order."""
-    out = [np_entanglement(report, tol), np_steering(report, tol)]
+    out = [np_entanglement(report), np_steering(report)]
     if density is not None:
-        naive = naive_criteria(report, density, tol)
+        naive = naive_criteria(report, density)
         out.extend([naive.ent, naive.steer])
-    out.extend(hz_criteria(report, tol))
+    out.extend(hz_criteria(report))
     return out

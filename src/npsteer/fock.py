@@ -290,6 +290,19 @@ def _sector_starts(totals: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(totals + 1)))
 
 
+def _flat_layout(totals: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``_sector_starts(totals)`` of increasing totals, once they are found to start at 0 or
+    more and ``amps`` to hold N + 1 entries a sector. The count is taken in Python ints: the
+    int64 sums of the starts wrap around for totals near 2^63 / len(totals)."""
+    if totals[0] < 0:
+        raise ValueError(f"sector totals must be >= 0, got {int(totals[0])}")
+    need = sum(totals.tolist()) + len(totals)
+    if amps.shape != (need,):
+        first, last = int(totals[0]), int(totals[-1])
+        raise ValueError(f"sectors {first}..{last} need {need} amplitudes in all, got {amps.shape}")
+    return _sector_starts(totals)
+
+
 def _joined(table: np.ndarray, totals: np.ndarray, out=None) -> np.ndarray:
     """``table[:N + 1]`` for each sector N in ``totals``, concatenated: table[m] at each."""
     return np.concatenate([table[: n + 1] for n in totals.tolist()], out=out)
@@ -703,32 +716,29 @@ class SectorMixture:
 
     Stored flat: sector s has total ``totals()[s]``, weight ``weights()[s]``
     and unit-norm amplitudes ``amps[starts[s]:starts[s + 1]]`` on
-    |m>|N - m>, m = 0..N. Totals strictly increase and the weights sum to
-    one. The constructor takes array-likes, as int64 totals and starts (other
-    values raise ValueError), float weights and complex128 amplitudes. It
-    checks them (NaN-safe) and keeps them read-only: an array that already
-    has its dtype is kept and frozen, not copied.
+    |m>|N - m>, m = 0..N; ``starts`` is derived from the totals. Totals
+    strictly increase from 0 or more and the weights sum to one. The
+    constructor takes array-likes, as int64 totals (other values raise
+    ValueError), float weights and complex128 amplitudes. It checks them
+    (NaN-safe) and keeps them read-only: an array that already has its
+    dtype is kept and frozen, not copied.
     """
 
-    def __init__(self, totals, weights, starts, amps):
-        totals, starts = _int64_array(totals, "totals"), _int64_array(starts, "starts")
+    def __init__(self, totals, weights, amps):
+        totals = _int64_array(totals, "totals")
         weights, amps = np.asarray(weights, dtype=float), np.asarray(amps, dtype=np.complex128)
         if len(totals) == 0:
             raise ValueError("mixture needs at least one sector")
         k = len(totals)
-        if len(weights) != k or len(starts) != k + 1 or (starts[0], starts[-1]) != (0, len(amps)):
-            raise ValueError(f"{k} sectors need {k} weights, {k + 1} starts from 0 to {len(amps)}")
+        if len(weights) != k:
+            raise ValueError(f"{k} sectors need {k} weights, got {len(weights)}")
         if np.any(totals[1:] <= totals[:-1]):
             raise ValueError("sector labels must be strictly increasing")
+        starts = _flat_layout(totals, amps)
         if np.any(weights < 0):
             raise ValueError("sector weights must be >= 0")
         if not abs(weights.sum() - 1.0) <= NORM_TOL:
             raise ValueError(f"sector weights sum to {weights.sum()!r}, not 1")
-        counts = np.diff(starts)
-        wrong = np.flatnonzero(counts != totals + 1)
-        if len(wrong):
-            n = int(totals[wrong[0]])
-            raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {int(counts[wrong[0]])}")
         mass = np.abs(amps)
         norms = np.add.reduceat(np.square(mass, out=mass), starts[:-1])
         off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
@@ -779,25 +789,19 @@ def mixture_from_sector_amplitudes(
     what = f"a mixture of {len(totals)} sectors up to N = {totals[-1]}"
     # The stored amplitudes, and the largest temporary of the build, take 16 bytes an entry.
     # k distinct totals hold at least k (k + 1) / 2 entries: that bound refuses a wide support
-    # before the exact count builds one Python int a sector. The count is taken in Python
-    # ints because ``starts`` wraps around for totals near 2^63 / k.
+    # before the exact count builds one Python int a sector.
     k = len(totals)
     require_array_bytes(16 * (k * (k + 1) // 2), what, at_least=True)
     require_array_bytes(16 * (sum(totals.tolist()) + k), what)
-    starts = _sector_starts(totals)
     amps = np.asarray(amps_builder(totals), dtype=np.complex128)
-    if amps.shape != (starts[-1],):
-        raise ValueError(
-            f"sectors {int(totals[0])}..{int(totals[-1])} need {int(starts[-1])} amplitudes "
-            f"in all, got {amps.shape}"
-        )
+    starts = _flat_layout(totals, amps)
     if not amps.flags.writeable:
         amps = amps.copy()
     mass = np.abs(amps)
     roots = np.sqrt(_sector_sums(np.square(mass, out=mass), starts))
     del mass
     amps /= np.repeat(roots, totals + 1)
-    return SectorMixture(totals, dist.masses, starts, amps)
+    return SectorMixture(totals, dist.masses, amps)
 
 
 State = PureTwoModeState | SectorMixture

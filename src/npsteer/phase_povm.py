@@ -12,6 +12,7 @@ split by ``start_shot`` reproduce the sequential stream exactly.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -81,23 +82,31 @@ def wrap_angle(x: np.ndarray | float):
 
 @dataclass(frozen=True)
 class _GridDensity:
-    """Density values on the canonical grid ``phis``, both held read-only."""
+    """Density values, held read-only, on the canonical grid ``phis`` of their length."""
 
-    phis: np.ndarray
     values: np.ndarray
 
-    def _freeze(self, phis: np.ndarray, values: np.ndarray) -> None:
-        for name, array in (("phis", phis.copy()), ("values", values)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+    def _adopt(self, values: np.ndarray, what: str) -> None:
+        """Keep ``values`` clipped of float-level negatives, read-only; refuse larger ones."""
+        if float(values.min()) < NEGATIVE_CLIP_TOL:
+            raise ValueError(f"{what} has negative values below {NEGATIVE_CLIP_TOL}")
+        values = np.clip(values, 0.0, None)  # a new array, owned here
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def phis(self) -> np.ndarray:
+        phis = phase_grid(len(self.values))
+        phis.flags.writeable = False
+        return phis
 
     @property
     def grid_size(self) -> int:
-        return len(self.phis)
+        return len(self.values)
 
     @property
     def spacing(self) -> float:
-        return TWO_PI / len(self.phis)
+        return TWO_PI / len(self.values)
 
 
 @dataclass(frozen=True)
@@ -105,20 +114,13 @@ class PhaseDensity(_GridDensity):
     """Probability density of one angle on the canonical uniform grid."""
 
     def __post_init__(self):
-        phis = np.asarray(self.phis, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if phis.ndim != 1 or phis.shape != values.shape or len(phis) < 2:
-            raise ValueError("phis and values must be equal-length 1-d arrays")
-        k = len(phis)
-        if not np.allclose(phis, phase_grid(k), atol=1e-12, rtol=0):
-            raise ValueError("phis must be the canonical uniform grid on [-pi, pi)")
-        if float(values.min()) < NEGATIVE_CLIP_TOL:
-            raise ValueError(f"density has negative values below {NEGATIVE_CLIP_TOL}")
-        values = np.clip(values, 0.0, None)  # a new array, owned here
-        total = float(values.sum()) * (TWO_PI / k)
+        if values.ndim != 1 or len(values) < 2:
+            raise ValueError("values must be a 1-d array of at least 2 points")
+        self._adopt(values, "density")
+        total = self.integrate()
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1")
-        self._freeze(phis, values)
 
     def integrate(self) -> float:
         return float(self.values.sum()) * self.spacing
@@ -133,15 +135,10 @@ class JointPhaseDensity(_GridDensity):
     """Joint density of the two local angles on a K x K canonical grid."""
 
     def __post_init__(self):
-        phis = np.asarray(self.phis, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        k = len(phis)
-        if values.shape != (k, k):
-            raise ValueError(f"values must be ({k}, {k}), got {values.shape}")
-        if float(values.min()) < NEGATIVE_CLIP_TOL:
-            raise ValueError("joint density has negative values")
-        values = np.clip(values, 0.0, None)  # a new array, owned here
-        self._freeze(phis, values)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"values must be a K x K array, got shape {values.shape}")
+        self._adopt(values, "joint density")
 
     def integrate(self) -> float:
         return float(self.values.sum()) * self.spacing**2
@@ -227,7 +224,7 @@ def relative_phase_density(state: State, grid_size: int | None = None) -> PhaseD
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
     view = state.sector_view
     values = _summed_profiles(view.amps, view.starts, k) / TWO_PI  # sized before the grid
-    return PhaseDensity(phase_grid(k), values)
+    return PhaseDensity(values)
 
 
 def joint_local_phase_density(
@@ -248,7 +245,7 @@ def joint_local_phase_density(
     values = np.abs(np.fft.fft2(signed, s=(k, k)))  # the K x K complex transform is freed here
     values **= 2
     values /= TWO_PI**2
-    return JointPhaseDensity(phase_grid(k), values)
+    return JointPhaseDensity(values)
 
 
 class DispersionEstimate(NamedTuple):

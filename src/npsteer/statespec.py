@@ -8,17 +8,16 @@ A spec is a JSON object with a ``family`` key and family-specific fields:
     {"family": "mixture", "base": "number_phase", "phi": 0.0,
      "noise": {"kind": "poissonian", "mean": 5.0}, "tail_tol": 1e-10}
 
-Noise kinds for mixtures: ``poissonian`` (mean), ``thermal`` (mean),
-``gaussian`` (mean, std), ``point`` (n). A mixture with base
-``split_fock`` also accepts ``transmissivity``. ``tail_tol`` inside the
-spec overrides any value supplied by the caller. Unknown families, keys,
-and noise kinds are rejected with the list of known ones.
+``_FAMILIES`` and ``_NOISE`` hold the keys and the builder of each family and noise kind,
+and ``SWEEP_KEYS`` the key each sweep variable sets. ``tail_tol`` inside the spec overrides
+any value supplied by the caller. Unknown families, keys, and noise kinds are rejected with
+the list of known ones.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import fock
 from .fock import (
@@ -33,10 +32,6 @@ from .fock import (
     thermal_distribution,
     two_mode_squeezed_state,
 )
-
-FAMILIES = ("number_phase", "split_fock", "tmss", "mixture")
-NOISE_KINDS = ("poissonian", "thermal", "gaussian", "point")
-MIXTURE_BASES = ("number_phase", "split_fock")
 
 
 class StateSpecError(ValueError):
@@ -80,42 +75,59 @@ def _as_float(value) -> float:
     return out
 
 
-def _as_choice(options):
-    def coerce(value):
-        if value not in options:
-            raise ValueError(f"{value!r} is not one of {', '.join(options)}")
-        return value
-
-    return coerce
+def _as_base(value) -> str:
+    if value not in tuple(_MIXTURE_BASES):
+        raise ValueError(f"{value!r} is not one of {', '.join(_MIXTURE_BASES)}")
+    return value
 
 
-_FAMILY_KEYS = {
-    "number_phase": {"n": (_as_int, True), "phi": (_as_float, False)},
-    "split_fock": {
-        "n": (_as_int, True),
-        "phi": (_as_float, False),
-        "transmissivity": (_as_float, False),
-    },
-    "tmss": {
-        "r": (_as_float, True),
-        "cutoff": (_as_int, False),
-        "tail_tol": (_as_float, False),
-    },
-    "mixture": {
-        "base": (_as_choice(MIXTURE_BASES), True),
-        "phi": (_as_float, False),
-        "transmissivity": (_as_float, False),
-        "noise": (dict, True),
-        "tail_tol": (_as_float, False),
-    },
+# Each family and noise kind: its keys, as key -> (coerce, required), and its builder, which
+# takes the checked keys and the tail tolerance in effect. A builder looks its constructor up
+# in this module's globals when called, so a wrapper put there sees every call.
+_MEAN = {"mean": (_as_float, True)}
+_NOISE = {
+    "poissonian": (_MEAN, lambda q, tol: poissonian_distribution(q["mean"], tail_tol=tol)),
+    "thermal": (_MEAN, lambda q, tol: thermal_distribution(q["mean"], tail_tol=tol)),
+    "gaussian": (
+        {**_MEAN, "std": (_as_float, True)},
+        lambda q, tol: gaussian_distribution(q["mean"], q["std"], tail_tol=tol),
+    ),
+    "point": ({"n": (_as_int, True)}, lambda q, tol: NumberDistribution.point(q["n"])),
 }
-
-_NOISE_KEYS = {
-    "poissonian": {"mean": (_as_float, True)},
-    "thermal": {"mean": (_as_float, True)},
-    "gaussian": {"mean": (_as_float, True), "std": (_as_float, True)},
-    "point": {"n": (_as_int, True)},
+# The flat sector kernel of each mixture base, given the mixture's keys.
+_MIXTURE_BASES = {
+    "number_phase": lambda p: lambda totals: fock._number_phase_amps(totals, p.get("phi", 0.0)),
+    "split_fock": lambda p: lambda totals: fock._split_fock_amps(
+        totals, p.get("phi", 0.0), p.get("transmissivity", 0.5)
+    ),
 }
+_FAMILIES = {
+    "number_phase": (
+        {"n": (_as_int, True), "phi": (_as_float, False)},
+        lambda p, tol: number_phase_state(p["n"], p.get("phi", 0.0)),
+    ),
+    "split_fock": (
+        {"n": (_as_int, True), "phi": (_as_float, False), "transmissivity": (_as_float, False)},
+        lambda p, tol: split_fock_state(p["n"], p.get("phi", 0.0), p.get("transmissivity", 0.5)),
+    ),
+    "tmss": (
+        {"r": (_as_float, True), "cutoff": (_as_int, False), "tail_tol": (_as_float, False)},
+        lambda p, tol: two_mode_squeezed_state(p["r"], cutoff=p.get("cutoff"), tail_tol=tol),
+    ),
+    "mixture": (
+        {"base": (_as_base, True), "phi": (_as_float, False),
+         "transmissivity": (_as_float, False), "noise": (dict, True),
+         "tail_tol": (_as_float, False)},
+        lambda p, tol: mixture_from_sector_amplitudes(
+            _NOISE[p["noise"]["kind"]][1](p["noise"], tol), _MIXTURE_BASES[p["base"]](p)
+        ),
+    ),
+}
+FAMILIES = tuple(_FAMILIES)
+NOISE_KINDS = tuple(_NOISE)
+# Each sweep variable and the spec key it sets; mean and std set a key of a mixture's noise.
+SWEEP_KEYS = {"N": ("n",), "r": ("r",), "mean": ("noise", "mean"), "std": ("noise", "std"),
+              "transmissivity": ("transmissivity",)}
 
 
 @dataclass(frozen=True)
@@ -131,54 +143,25 @@ class StateSpec:
                 f"unknown family {self.family!r}; known families: {', '.join(FAMILIES)}"
             )
 
-    @property
-    def tail_tol(self) -> float | None:
-        return self.params.get("tail_tol")
-
     def with_param(self, name: str, value) -> "StateSpec":
-        """Copy of this spec with one sweepable parameter replaced.
+        """Copy of this spec with the key that sweep variable ``name`` sets replaced by
+        ``value``, checked as ``parse_state_spec`` checks a spec.
 
-        Sweepable names: N (number_phase/split_fock), r (tmss),
-        transmissivity (split_fock, or mixtures over split_fock sectors),
-        mean and std (mixture noise parameters).
+        N within 1e-9 of an integer is rounded to it. A variable whose key this family or
+        noise kind does not have is not sweepable.
         """
-        params = dict(self.params)
-        if name == "N" and self.family in ("number_phase", "split_fock"):
-            n = int(round(value))
-            if abs(value - n) > 1e-9:
-                raise StateSpecError(f"sweep over N hit non-integer value {value!r}")
-            params["n"] = n
-        elif name == "r" and self.family == "tmss":
-            params["r"] = float(value)
-        elif name == "transmissivity" and (
-            self.family == "split_fock"
-            or (self.family == "mixture" and self.params.get("base") == "split_fock")
-        ):
-            params["transmissivity"] = float(value)
-        elif name in ("mean", "std") and self.family == "mixture":
-            noise = dict(params["noise"])
-            if name not in _NOISE_KEYS[noise["kind"]]:
-                raise StateSpecError(
-                    f"noise kind {noise['kind']!r} has no parameter {name!r}"
-                )
-            noise[name] = float(value)
-            params["noise"] = noise
-        else:
-            raise StateSpecError(
-                f"parameter {name!r} is not sweepable for family {self.family!r}"
-            )
-        return replace(self, params=params)
-
-    def _noise_distribution(self, tail_tol: float) -> NumberDistribution:
-        noise = self.params["noise"]
-        kind = noise["kind"]
-        if kind == "poissonian":
-            return poissonian_distribution(noise["mean"], tail_tol=tail_tol)
-        if kind == "thermal":
-            return thermal_distribution(noise["mean"], tail_tol=tail_tol)
-        if kind == "gaussian":
-            return gaussian_distribution(noise["mean"], noise["std"], tail_tol=tail_tol)
-        return NumberDistribution.point(noise["n"])
+        *parents, key = SWEEP_KEYS.get(name, (None,))
+        obj = {"family": self.family, **self.params}
+        target, keys, where = obj, _FAMILIES[self.family][0], f"family {self.family!r}"
+        if parents and parents[0] in keys:  # "noise": the key is one of the noise kind's
+            target = obj["noise"] = dict(obj["noise"])
+            keys, where = _NOISE[target["kind"]][0], f"{target['kind']} noise"
+        if key not in keys:
+            raise StateSpecError(f"parameter {name!r} is not sweepable for {where}")
+        if name == "N" and math.isfinite(value) and abs(value - round(value)) <= 1e-9:
+            value = round(value)
+        target[key] = value
+        return _checked(obj)
 
     def build(self, tail_tol: float | None = None) -> State:
         """Construct the state; spec-level tail_tol overrides the argument.
@@ -189,23 +172,27 @@ class StateSpec:
         tol = self.params.get("tail_tol", tail_tol if tail_tol is not None else DEFAULT_TAIL_TOL)
         if not 0.0 < tol < 1.0:
             raise StateSpecError(f"tail_tol must be finite with 0 < tail_tol < 1, got {tol!r}")
-        p = self.params
-        if self.family == "number_phase":
-            return number_phase_state(p["n"], p.get("phi", 0.0))
-        if self.family == "split_fock":
-            return split_fock_state(p["n"], p.get("phi", 0.0), p.get("transmissivity", 0.5))
-        if self.family == "tmss":
-            return two_mode_squeezed_state(p["r"], cutoff=p.get("cutoff"), tail_tol=tol)
-        dist = self._noise_distribution(tol)
-        phi = p.get("phi", 0.0)
-        if p["base"] == "number_phase":
-            return mixture_from_sector_amplitudes(
-                dist, lambda totals: fock._number_phase_amps(totals, phi)
+        return _FAMILIES[self.family][1](self.params, tol)
+
+
+def _checked(obj: dict) -> StateSpec:
+    """The spec of a decoded JSON object, its keys checked and its values coerced."""
+    family = StateSpec(obj.get("family")).family  # refuses an unknown family
+    rest = {k: v for k, v in obj.items() if k != "family"}
+    params = _require_keys(rest, _FAMILIES[family][0], f"{family} spec")
+    if family == "mixture":
+        noise = params["noise"]
+        kind = noise.get("kind")
+        if kind not in NOISE_KINDS:
+            raise StateSpecError(
+                f"unknown noise kind {kind!r}; known kinds: {', '.join(NOISE_KINDS)}"
             )
-        t = p.get("transmissivity", 0.5)
-        return mixture_from_sector_amplitudes(
-            dist, lambda totals: fock._split_fock_amps(totals, phi, t)
-        )
+        noise_rest = {k: v for k, v in noise.items() if k != "kind"}
+        noise_keys = _require_keys(noise_rest, _NOISE[kind][0], f"{kind} noise")
+        params["noise"] = {"kind": kind, **noise_keys}
+        if params.get("transmissivity") is not None and params["base"] != "split_fock":
+            raise StateSpecError("transmissivity only applies to split_fock-based mixtures")
+    return StateSpec(family, params)
 
 
 def parse_state_spec(text: str) -> StateSpec:
@@ -216,25 +203,7 @@ def parse_state_spec(text: str) -> StateSpec:
         raise StateSpecError(f"state spec is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise StateSpecError("state spec must be a JSON object")
-    family = obj.get("family")
-    if family not in FAMILIES:
-        raise StateSpecError(
-            f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
-        )
-    rest = {k: v for k, v in obj.items() if k != "family"}
-    params = _require_keys(rest, _FAMILY_KEYS[family], f"{family} spec")
-    if family == "mixture":
-        noise = params["noise"]
-        kind = noise.get("kind")
-        if kind not in NOISE_KINDS:
-            raise StateSpecError(
-                f"unknown noise kind {kind!r}; known kinds: {', '.join(NOISE_KINDS)}"
-            )
-        noise_rest = {k: v for k, v in noise.items() if k != "kind"}
-        params["noise"] = {"kind": kind, **_require_keys(noise_rest, _NOISE_KEYS[kind], f"{kind} noise")}
-        if params.get("transmissivity") is not None and params["base"] != "split_fock":
-            raise StateSpecError("transmissivity only applies to split_fock-based mixtures")
-    return StateSpec(family, params)
+    return _checked(obj)
 
 
 def load_state_spec(source: str) -> StateSpec:

@@ -267,7 +267,7 @@ def oracle_mixture(dist: NumberDistribution, sector_amps) -> SectorMixture:
         if a.shape != (n + 1,):
             raise ValueError(f"sector {n} needs {n + 1} amplitudes, got {a.shape}")
         np.divide(a, math.sqrt(float(np.sum(np.abs(a) ** 2))), out=amps[lo:hi])
-    return SectorMixture(totals, dist.masses, starts, amps)
+    return SectorMixture(totals, dist.masses, amps)
 
 
 def oracle_trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
@@ -346,7 +346,7 @@ def relative_marginal_from_joint(joint: JointPhaseDensity) -> PhaseDensity:
     j = np.arange(k)
     rows = (j[None, :] + j[:, None] - k // 2) % k  # rows[d, j] = index of phi1 = delta_d + phi_j
     values = joint.values[rows, j[None, :]].sum(axis=1) * joint.spacing
-    return PhaseDensity(joint.phis, values)
+    return PhaseDensity(values)
 
 
 def write_density_csv(path, density: PhaseDensity) -> None:

@@ -416,6 +416,16 @@ class TestSweep:
         assert code == 2
         assert "kappa" in err
 
+    def test_transmissivity_of_a_number_phase_mixture_is_refused_by_the_parser(
+        self, capsys, tmp_path
+    ):
+        code, _, err = run(
+            capsys, "sweep", "--state", POISSON3, "--sweep", "transmissivity:0.1:0.3:0.1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err == "error: transmissivity only applies to split_fock-based mixtures\n"
+
     def test_unwritable_out_exits_two(self, capsys, tmp_path):
         path = tmp_path / "no" / "such" / "sweep.csv"
         code, out, err = run(
@@ -476,6 +486,23 @@ class TestSample:
         )
         assert code == 0
         assert "ASSERT OK" in out
+
+    @given(spec=st.sampled_from([
+               '{"family": "number_phase", "n": 0}',
+               '{"family": "mixture", "base": "number_phase", "noise": {"kind": "point", "n": 0}}',
+           ]),
+           shots=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_few_shots_never_certify_the_separable_vacuum(self, capsys, tmp_path, spec, shots,
+                                                          seed):
+        """A bootstrap over a few shots can read a standard error near 0; the claim takes
+        at least 1/sqrt(shots), so at z = 5 and 25 shots or fewer nothing can be claimed."""
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sample", "--state", spec, "--shots", str(shots),
+                         "--seed", str(seed), "--out", str(out))
+        assert code == 0
+        est = json.loads((tmp_path / "s.csv.est.json").read_text())
+        assert [v["violated"] for v in est["verdicts"]] == [False, False], est
 
     @pytest.mark.parametrize("z", ["nan", "inf", "-1"])  # nan used to hide every violation
     def test_z_out_of_range_exits_two(self, capsys, tmp_path, z):

@@ -164,25 +164,40 @@ class TestSingleModeUR:
 
 class TestSampledVerdicts:
     def test_clear_violation_at_many_sigma(self):
-        ent, steer = sampled_np_verdicts(n_var=0.0, d2_hat=0.5, d2_se=0.01)
+        ent, steer = sampled_np_verdicts(n_var=0.0, d2_hat=0.5, d2_se=0.01, shots=10**6)
         assert ent.violated and steer.violated
         assert ent.advisory is not None
 
     def test_borderline_estimate_is_not_claimed(self):
         # point estimate below the bound but within z standard errors
-        ent, _ = sampled_np_verdicts(n_var=0.0, d2_hat=0.98, d2_se=0.01, z=5.0)
+        ent, _ = sampled_np_verdicts(n_var=0.0, d2_hat=0.98, d2_se=0.01, shots=10**6, z=5.0)
         assert ent.lhs < ent.bound
         assert not ent.violated
 
     def test_z_scales_the_claim_threshold(self):
-        strict, _ = sampled_np_verdicts(n_var=0.0, d2_hat=0.95, d2_se=0.02, z=5.0)
-        loose, _ = sampled_np_verdicts(n_var=0.0, d2_hat=0.95, d2_se=0.02, z=1.0)
+        strict, _ = sampled_np_verdicts(n_var=0.0, d2_hat=0.95, d2_se=0.02, shots=10**6, z=5.0)
+        loose, _ = sampled_np_verdicts(n_var=0.0, d2_hat=0.95, d2_se=0.02, shots=10**6, z=1.0)
         assert not strict.violated
         assert loose.violated
 
+    def test_claim_error_is_at_least_one_over_root_shots(self):
+        # lhs 0 clears the bound 1 by 5 errors of 1/sqrt(shots) only above 25 shots
+        at_25 = sampled_np_verdicts(n_var=0.0, d2_hat=0.0, d2_se=0.0, shots=25, z=5.0)
+        at_26 = sampled_np_verdicts(n_var=0.0, d2_hat=0.0, d2_se=0.0, shots=26, z=5.0)
+        assert [v.violated for v in at_25] == [False, False]
+        assert [v.violated for v in at_26] == [True, True]
+        # a larger bootstrap error still decides
+        wide = sampled_np_verdicts(n_var=0.0, d2_hat=0.0, d2_se=0.25, shots=10**6, z=5.0)
+        assert [v.violated for v in wide] == [False, False]
+
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_shots_below_one_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            sampled_np_verdicts(0.0, 0.5, 0.01, shots)
+
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            sampled_np_verdicts(0.0, 0.5, -0.1)
+            sampled_np_verdicts(0.0, 0.5, -0.1, 10**6)
 
 
 class TestBoundaryCurves:

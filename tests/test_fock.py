@@ -527,32 +527,34 @@ class TestSectorMixtures:
         assert "sectors" in vars(mix)
 
     # A valid flat mixture (sector 0 and sector 1) and, per case, the arrays that break one check.
-    FLAT = {"totals": [0, 1], "weights": [0.5, 0.5], "starts": [0, 1, 3], "amps": [1.0, 0.6, 0.8j]}
+    FLAT = {"totals": [0, 1], "weights": [0.5, 0.5], "amps": [1.0, 0.6, 0.8j]}
+    DTYPES = {"totals": np.int64, "weights": float, "amps": complex}
 
     @pytest.mark.parametrize("match,bad", [
-        ("at least one", {"totals": [], "weights": [], "starts": [0], "amps": []}),
-        ("2 sectors need 2 weights", {"weights": [1.0]}),
-        ("need 2 weights, 3 starts", {"starts": [0, 3]}),
-        ("3 starts from 0 to 4$", {"starts": [1, 2, 4], "amps": [0.0, 1.0, 0.6, 0.8j]}),
-        ("3 starts from 0 to 4$", {"amps": [1.0, 0.6, 0.8j, 0.0]}),
+        ("at least one", {"totals": [], "weights": [], "amps": []}),
+        ("2 sectors need 2 weights, got 1", {"weights": [1.0]}),
+        (r"sectors 0..1 need 3 amplitudes in all, got \(4,\)$", {"amps": [1.0, 0.6, 0.8j, 0.0]}),
+        (r"sectors 0..1 need 3 amplitudes in all, got \(2,\)$", {"amps": [1.0, 1.0]}),
+        (r"got \(1, 3\)$", {"amps": [[1.0, 0.6, 0.8j]]}),
+        # int64 starts would wrap here (2^62 + 1 + 2^63 - 1 > 2^63 - 1); the count does not
+        ("need 13835058055282163712 amplitudes", {"totals": [2**62, 2**63 - 2]}),
+        (">= 0, got -1", {"totals": [-1, 0], "amps": [1.0]}),
         ("increasing", {"totals": [1, 1]}),
-        ("increasing", {"totals": [1, 0], "starts": [0, 2, 3], "amps": [0.6, 0.8j, 1.0]}),
+        ("increasing", {"totals": [1, 0], "amps": [0.6, 0.8j, 1.0]}),
         (">= 0", {"weights": [1.5, -0.5]}),
         ("sum", {"weights": [0.5, float("nan")]}),
         ("sum", {"weights": [0.5, 0.6]}),
-        ("sector 0 needs 1 amplitudes, got 2", {"starts": [0, 2, 3]}),
         ("norm", {"amps": [1.0, 0.6, 0.7]}),
         ("norm", {"amps": [1.0, float("nan"), 0.8]}),
     ])
     def test_flat_mixture_checks(self, match, bad):
         arrays = {**self.FLAT, **bad}
-        dtypes = {"totals": np.int64, "weights": float, "starts": np.int64, "amps": complex}
-        args = [np.array(arrays[k], dtype=dtypes[k]) for k in ("totals", "weights", "starts", "amps")]
+        args = [np.array(arrays[k], dtype=self.DTYPES[k]) for k in self.DTYPES]
         with pytest.raises(ValueError, match=match):
             SectorMixture(*args)
 
     def test_lists_are_converted(self):
-        mix = SectorMixture([0, 1], [0.5, 0.5], [0, 1, 3], [1, 0.6, 0.8j])
+        mix = SectorMixture([0, 1], [0.5, 0.5], [1, 0.6, 0.8j])
         for got, want in zip((mix.totals(), mix.weights(), mix.starts, mix.amps),
                              ([0, 1], [0.5, 0.5], [0, 1, 3], [1.0, 0.6, 0.8j])):
             np.testing.assert_array_equal(got, want)
@@ -560,21 +562,20 @@ class TestSectorMixtures:
             np.int64, np.int64, np.float64, np.complex128]
 
     def test_arrays_of_their_dtype_are_kept_not_copied(self):
-        dtypes = {"totals": np.int64, "weights": float, "starts": np.int64, "amps": complex}
-        args = [np.array(self.FLAT[k], dtype=dtypes[k]) for k in dtypes]
+        args = [np.array(self.FLAT[k], dtype=self.DTYPES[k]) for k in self.DTYPES]
         mix = SectorMixture(*args)
-        kept = (mix.totals(), mix.weights(), mix.starts, mix.amps)
+        kept = (mix.totals(), mix.weights(), mix.amps)
         assert all(a is b for a, b in zip(args, kept))
-        assert not any(a.flags.writeable for a in args)
+        assert not any(a.flags.writeable for a in (*args, mix.starts))
 
     @pytest.mark.parametrize("bad", [
-        {"totals": [0, 1.5]}, {"starts": [0, 1, 3.5]}, {"totals": [0, float("nan")]},
-        {"starts": ["0", "1", "3"]},
+        {"totals": [0, 1.5]}, {"totals": [0, float("nan")]}, {"totals": ["0", "1"]},
+        {"totals": [0, 1 + 2**-40]},
     ])
-    def test_non_integer_totals_or_starts_are_refused(self, bad):
+    def test_non_integer_totals_are_refused(self, bad):
         arrays = {**self.FLAT, **bad}
         with pytest.raises(ValueError, match="must be integers"):
-            SectorMixture(arrays["totals"], arrays["weights"], arrays["starts"], arrays["amps"])
+            SectorMixture(arrays["totals"], arrays["weights"], arrays["amps"])
 
     @pytest.mark.parametrize("match,builder", [
         ("sectors 2..2 need 3 amplitudes", joined(lambda n: np.ones(n))),

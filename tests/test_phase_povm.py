@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -95,22 +96,37 @@ class TestGridRules:
 
 
 class TestPhaseDensity:
-    def test_requires_canonical_grid(self):
+    def test_phis_are_the_read_only_canonical_grid_of_the_values(self):
         k = 64
-        with pytest.raises(ValueError, match="canonical"):
-            PhaseDensity(np.linspace(0, 2 * math.pi, k), np.full(k, 1 / (2 * math.pi)))
+        d = PhaseDensity(np.full(k, 1 / (2 * math.pi)))
+        assert d.phis.tobytes() == phase_grid(k).tobytes()
+        assert d.phis is d.phis and not d.phis.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.phis = phase_grid(k)
+        joint = JointPhaseDensity(np.full((k, k), 1 / (2 * math.pi) ** 2))
+        assert joint.phis.tobytes() == phase_grid(k).tobytes()
+
+    @pytest.mark.parametrize("values", [np.full(1, 1 / (2 * math.pi)), np.full((2, 2), 0.1)])
+    def test_requires_one_axis_of_at_least_two_points(self, values):
+        with pytest.raises(ValueError, match="1-d array of at least 2 points"):
+            PhaseDensity(values)
+
+    @pytest.mark.parametrize("values", [np.full(4, 0.1), np.full((2, 3), 0.1)])
+    def test_joint_requires_a_square_array(self, values):
+        with pytest.raises(ValueError, match="K x K array"):
+            JointPhaseDensity(values)
 
     def test_rejects_unnormalized_values(self):
         k = 64
         with pytest.raises(ValueError, match="integrates"):
-            PhaseDensity(phase_grid(k), np.full(k, 1.0))
+            PhaseDensity(np.full(k, 1.0))
 
     def test_clips_tiny_negative_values(self):
         k = 64
         vals = np.full(k, 1 / (2 * math.pi))
         vals[1] += vals[0] + 5e-15
         vals[0] = -5e-15
-        d = PhaseDensity(phase_grid(k), vals)
+        d = PhaseDensity(vals)
         assert d.values.min() == 0.0
 
     def test_rejects_genuinely_negative_values(self):
@@ -118,7 +134,7 @@ class TestPhaseDensity:
         vals = np.full(k, 1 / (2 * math.pi))
         vals[0] = -1e-3
         with pytest.raises(ValueError, match="negative"):
-            PhaseDensity(phase_grid(k), vals)
+            PhaseDensity(vals)
 
     @pytest.mark.parametrize("name,make", FAMILY_STATES)
     def test_density_normalized_for_every_family(self, name, make):

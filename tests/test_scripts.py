@@ -1,5 +1,6 @@
 """The paper scripts, run small: pinned output bytes and the paper's robustness claims;
-the README's Library example, run as it stands; and the README naming every export.
+the README's Library example, run as it stands; the README naming every export; and the
+README's tables of state keys and sweep variables matching those of ``npsteer.statespec``.
 
 ``script_goldens.json`` holds every CSV that ``scripts/figure_data.py --n-max 5``
 and ``scripts/noise_robustness.py --steps 16`` write, and the stdout of the
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import npsteer
+from npsteer import statespec
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = Path(__file__).parent / "script_goldens.json"
@@ -98,6 +100,43 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
 def test_every_export_is_named_in_the_readme():
     readme = (ROOT / "README.md").read_text()
     assert [name for name in npsteer.__all__ if not re.search(rf"\b{name}\b", readme)] == []
+
+
+def readme_table(after: str) -> list[list[list[str]]]:
+    """The rows of the first Markdown table after the text ``after`` in the README, header
+    and rule left out: each row a list of cells, each cell the names in backticks in it."""
+    lines = (ROOT / "README.md").read_text().split(after, 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.lstrip().startswith("|"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.lstrip().startswith("|"):
+            break
+        rows.append([re.findall(r"`([^`]+)`", cell) for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def key_columns(table: dict) -> list[list[list[str]]]:
+    """Rows of name, required keys and optional keys, as the README tables list them."""
+    return [
+        [[name], [k for k, (_, req) in keys.items() if req],
+         [k for k, (_, req) in keys.items() if not req]]
+        for name, (keys, _) in table.items()
+    ]
+
+
+def test_readme_state_tables_match_the_spec_tables():
+    assert readme_table("## State descriptions") == key_columns(statespec._FAMILIES)
+    assert readme_table("object with a `kind` key") == key_columns(statespec._NOISE)
+
+
+def test_readme_sweep_table_matches_the_sweep_keys():
+    want = []
+    for var, (*parents, key) in statespec.SWEEP_KEYS.items():
+        owners = [f for f, (keys, _) in statespec._FAMILIES.items() if (parents or [key])[0] in keys]
+        if parents:  # a key of the noise: the family that has one, then the kinds with the key
+            owners += [n for n, (keys, _) in statespec._NOISE.items() if key in keys]
+        want.append([[var], [".".join((*parents, key))], owners])
+    assert readme_table("Each sweep variable sets one key") == want
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npsteer import (
     PureTwoModeState,
@@ -13,7 +14,7 @@ from npsteer import (
     two_mode_squeezed_state,
 )
 from npsteer.fock import poissonian_distribution
-from npsteer.statespec import StateSpec, StateSpecError, load_state_spec
+from npsteer.statespec import SWEEP_KEYS, StateSpec, StateSpecError, load_state_spec
 
 from oracles import mixture_sectors, oracle_sector_amplitudes
 
@@ -242,3 +243,40 @@ def test_built_states_expose_what_the_tracer_reads(spec):
     assert [(n, w) for n, w, _ in state.sectors] == list(
         zip(state.totals().tolist(), state.weights().tolist())
     )
+
+
+def edited_spec(spec: dict, var: str, value) -> dict:
+    """``spec`` with the key ``var`` sets put to ``value`` as JSON would hold it: a value of N
+    within 1e-9 of an integer is that integer, as a sweep rounds it."""
+    if var == "N" and math.isfinite(value) and abs(value - round(value)) <= 1e-9:
+        value = round(value)
+    out = json.loads(json.dumps(spec))
+    *parents, key = SWEEP_KEYS[var]
+    target = out
+    for part in parents:
+        target = target.setdefault(part, {})
+    target[key] = value
+    return out
+
+
+SWEEP_VALUES = st.one_of(
+    st.integers(-5, 60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 2.5, -1.0, -0.5, 3 + 1e-10, 3 - 5e-10, 3 + 1e-6, 1e300, -1e300]),
+)
+
+
+@given(spec=st.sampled_from(TRACED_SPECS), var=st.sampled_from(list(SWEEP_KEYS)),
+       value=SWEEP_VALUES)
+@settings(max_examples=300)
+def test_a_sweep_point_is_the_parsed_edited_spec(spec, var, value):
+    """``with_param`` gives what ``parse_state_spec`` gives for the edited JSON, or both refuse."""
+    edited = json.dumps(edited_spec(spec, var, value))
+    try:
+        want = parse_state_spec(edited)
+    except StateSpecError:
+        with pytest.raises(StateSpecError):
+            parse_state_spec(json.dumps(spec)).with_param(var, value)
+        return
+    assert parse_state_spec(json.dumps(spec)).with_param(var, value) == want
+
