@@ -119,7 +119,7 @@ class PhaseDensity(_GridDensity):
             raise ValueError("values must be a 1-d array of at least 2 points")
         self._adopt(values, "density")
         total = self.integrate()
-        if abs(total - 1.0) > DENSITY_NORM_TOL:
+        if not abs(total - 1.0) <= DENSITY_NORM_TOL:  # NaN-safe
             raise ValueError(f"density integrates to {total!r}, not 1")
 
     def integrate(self) -> float:

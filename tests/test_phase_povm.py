@@ -116,10 +116,11 @@ class TestPhaseDensity:
         with pytest.raises(ValueError, match="K x K array"):
             JointPhaseDensity(values)
 
-    def test_rejects_unnormalized_values(self):
+    @pytest.mark.parametrize("value", [1.0, float("nan")])
+    def test_rejects_unnormalized_values(self, value):
         k = 64
         with pytest.raises(ValueError, match="integrates"):
-            PhaseDensity(np.full(k, 1.0))
+            PhaseDensity(np.full(k, value))
 
     def test_clips_tiny_negative_values(self):
         k = 64
