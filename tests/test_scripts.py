@@ -131,11 +131,12 @@ def test_readme_state_tables_match_the_spec_tables():
 
 def test_readme_sweep_table_matches_the_sweep_keys():
     want = []
-    for var, (*parents, key) in statespec.SWEEP_KEYS.items():
-        owners = [f for f, (keys, _) in statespec._FAMILIES.items() if (parents or [key])[0] in keys]
-        if parents:  # a key of the noise: the family that has one, then the kinds with the key
-            owners += [n for n, (keys, _) in statespec._NOISE.items() if key in keys]
-        want.append([[var], [".".join((*parents, key))], owners])
+    for var, path in statespec.SWEEP_KEYS.items():
+        # the families with the path's first key, then, for a noise key, the kinds that have it
+        owners = [f for f, (keys, _) in statespec._FAMILIES.items() if path[0] in keys]
+        if len(path) > 1:
+            owners += [n for n, (keys, _) in statespec._NOISE.items() if path[-1] in keys]
+        want.append([[var], [".".join(path)], owners])
     assert readme_table("Each sweep variable sets one key") == want
 
 
