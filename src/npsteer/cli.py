@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .criteria import CriterionVerdict, all_verdicts, boundary_curves, sampled_np_verdicts
-from .fock import ArraySizeError, TruncationError
+from .fock import MAX_ARRAY_BYTES, ArraySizeError, TruncationError
 from .observables import ObservableReport, number_moments, observable_report
 from .phase_povm import (
     estimate_relative_dispersion,
@@ -97,11 +97,21 @@ def _parse_range(text: str, expected_var: tuple[str, ...]) -> tuple[str, np.ndar
         lo, hi, step = (float(p) for p in parts[1:])
     except ValueError as exc:
         raise _UsageError(f"non-numeric range bound in {text!r}: {exc}") from exc
+    for name, bound in (("lo", lo), ("hi", hi), ("step", step)):
+        if not math.isfinite(bound):
+            raise _UsageError(f"range {name} must be finite, got {bound!r} in {text!r}")
     if step <= 0:
         raise _UsageError(f"range step must be > 0, got {step!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9  # overflows to inf when the count is beyond a float
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count < 1:
         raise _UsageError(f"range {text!r} contains no points")
+    if 8 * count > MAX_ARRAY_BYTES:
+        many = f"{count:.3g}" if math.isfinite(count) else f"over {sys.float_info.max:.3g}"
+        raise ArraySizeError(
+            f"range {text!r} holds {many} points, whose values need more than the "
+            f"{MAX_ARRAY_BYTES:,}-byte limit on one array"
+        )
     values = lo + step * np.arange(count)
     return var, values
 
@@ -164,11 +174,17 @@ def _spec_echo(spec: StateSpec) -> dict:
 def _evaluate(
     spec: StateSpec, args: argparse.Namespace
 ) -> tuple[ObservableReport, list[CriterionVerdict]]:
-    """Build the state, its observable report and relative phase density, and the verdicts."""
+    """Build the state, its observable report and relative phase density, and the verdicts.
+
+    The report is computed on this thread while the density's helper thread, if it
+    has one, transforms sector blocks.
+    """
     state = spec.build(args.tail_tol)
-    report = observable_report(state)
-    density = relative_phase_density(state, args.grid)
-    return report, all_verdicts(report, density)
+    reports = []
+    density = relative_phase_density(
+        state, args.grid, alongside=lambda: reports.append(observable_report(state))
+    )
+    return reports[0], all_verdicts(reports[0], density)
 
 
 def _columns(report: ObservableReport, verdicts: list[CriterionVerdict]) -> dict:

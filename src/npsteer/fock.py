@@ -705,6 +705,30 @@ def gaussian_distribution(
     )
 
 
+def _gaussian_kept_sectors(mean: float, std: float, tail_tol: float) -> int:
+    """A lower bound on the support ``gaussian_distribution`` keeps, found without building it.
+
+    The trim keeps every N whose raw mass exp(-(N - mean)^2 / (2 std^2)) reaches
+    tail_tol / 2, since the running sum of either tail through N holds that mass: the
+    integers within std sqrt(2 ln(2 / tail_tol)) of the mean, less one a side for rounding.
+    Arguments that ``gaussian_distribution`` refuses give 0.
+    """
+    if not (mean > 0 and std > 0 and 0 < tail_tol < 1):
+        return 0
+    reach = std * math.sqrt(2.0 * math.log(2.0 / tail_tol))
+    width = mean + reach - max(0.0, mean - reach) - 2.0  # inf for a std near the float limit
+    return int(min(max(width, 0.0), 2.0**62))
+
+
+def require_mixture_sectors(sectors: int, what: str) -> None:
+    """Refuse a mixture of ``sectors`` distinct totals before its support is walked.
+
+    Its stored amplitudes, and the largest temporary of its build, take 16 bytes an entry,
+    and k distinct totals hold at least k (k + 1) / 2 entries.
+    """
+    require_array_bytes(16 * (sectors * (sectors + 1) // 2), what, at_least=True)
+
+
 class _SectorSlice(NamedTuple):
     """One sector's amplitudes, a view into the mixture's flat ``amps``."""
 
@@ -787,11 +811,9 @@ def mixture_from_sector_amplitudes(
     """
     totals = dist.support
     what = f"a mixture of {len(totals)} sectors up to N = {totals[-1]}"
-    # The stored amplitudes, and the largest temporary of the build, take 16 bytes an entry.
-    # k distinct totals hold at least k (k + 1) / 2 entries: that bound refuses a wide support
-    # before the exact count builds one Python int a sector.
+    # The bound refuses a wide support before the exact count builds one Python int a sector.
     k = len(totals)
-    require_array_bytes(16 * (k * (k + 1) // 2), what, at_least=True)
+    require_mixture_sectors(k, what)
     require_array_bytes(16 * (sum(totals.tolist()) + k), what)
     amps = np.asarray(amps_builder(totals), dtype=np.complex128)
     starts = _flat_layout(totals, amps)

@@ -30,12 +30,13 @@ NEGATIVE_CLIP_TOL = -1e-14
 MIN_GRID = 64
 MIN_SAMPLING_GRID = 256
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
-# The bootstrap's helper thread must win the GIL back from the CSV writer
-# after every numpy call. Few, large index draws (a 2 MB temporary each) and
-# short formatting chunks (each one C call under the GIL, under a millisecond)
-# let it keep up. So does a short switch interval: the process-wide interval
-# is lowered only while the CSV is written beside the helper, and restored
-# as soon as the write ends.
+# A helper thread must win the GIL back from the work run beside it (the CSV
+# writer beside the bootstrap, the observable report beside the relative
+# density) after every numpy call. Few, large index draws (a 2 MB temporary
+# each) and short formatting chunks (each one C call under the GIL, under a
+# millisecond) let the bootstrap keep up. So does a short switch interval: the
+# process-wide interval is lowered only while that work runs beside a helper,
+# and restored as soon as it ends.
 DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
 CSV_CHUNK_ROWS = 1 << 8  # rows formatted per write
 OVERLAP_SWITCH_INTERVAL = 1e-4  # seconds
@@ -144,7 +145,9 @@ class JointPhaseDensity(_GridDensity):
         return float(self.values.sum()) * self.spacing**2
 
 
-def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np.ndarray:
+def _summed_profiles(
+    amps: np.ndarray, starts: np.ndarray, grid_size: int, alongside: Callable | None = None
+) -> np.ndarray:
     """sum_s |sum_m a_{s,m} e^{-i m phi}|^2 on the canonical grid, via FFT.
 
     Sector s holds ``amps[starts[s]:starts[s + 1]]``, m counted from 0. The
@@ -160,6 +163,8 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
     among the workers: each transforms its next block in its own buffers, then
     waits its turn to add its rows, in sector order, so the bits stay the same.
     A smaller density runs the same loop on the calling thread alone.
+    ``alongside()``, if given, runs on the calling thread before it joins the
+    loop: beside the helpers when the density is shared, else first.
     """
     k = grid_size
     lengths = np.diff(starts)
@@ -210,21 +215,32 @@ def _summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int) -> np
                 added += 1
                 team.turn.notify_all()
 
-    team.run(work, buffers)
+    team.run(work, buffers, alongside)
     return acc
 
 
-def relative_phase_density(state: State, grid_size: int | None = None) -> PhaseDensity:
+def relative_phase_density(
+    state: State, grid_size: int | None = None, alongside: Callable[[], object] | None = None
+) -> PhaseDensity:
     """Density of the phase difference under the number-resolved phase POVM.
 
     Built sector by sector: p(phi) = (1/2pi) sum_N w_N |sum_m a_{N,m} e^{-i m phi}|^2,
     with w_N = 1 and a_{N,m} = c[m, N - m] for a pure state.
+
+    ``alongside``, if given, is called once on the calling thread, once the
+    grid and the transform block are checked and the sector view is built:
+    while a helper thread
+    transforms sector blocks when the density is shared with one (more than
+    one CPU, SHARED_DENSITY_BLOCKS blocks or more), else before the blocks are
+    transformed. The density does not depend on it; its exception, or a
+    helper's, is raised here once every helper has stopped. The CLI computes
+    the observable report this way.
     """
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
     view = state.sector_view
-    values = _summed_profiles(view.amps, view.starts, k) / TWO_PI  # sized before the grid
-    return PhaseDensity(values)
+    values = _summed_profiles(view.amps, view.starts, k, alongside)  # sized before the grid
+    return PhaseDensity(values / TWO_PI)
 
 
 def joint_local_phase_density(
@@ -406,9 +422,11 @@ def _helper_count() -> int:
 def _short_switch_interval():
     """Hand the GIL over within OVERLAP_SWITCH_INTERVAL; restore the caller's interval after.
 
-    The interval is process-wide: two estimates that overlap their writes on
-    different threads of one process can restore in the wrong order and leave
-    the short interval in place.
+    Entered only while ``alongside()`` runs beside a helper thread: the CSV
+    writer beside the bootstrap, or the observable report beside the
+    relative density. The interval is process-wide: two such overlaps on
+    different threads of one process can restore in the wrong order and
+    leave the short interval in place.
     """
     interval = sys.getswitchinterval()
     sys.setswitchinterval(min(interval, OVERLAP_SWITCH_INTERVAL))

@@ -81,6 +81,16 @@ def _as_base(value) -> str:
     return value
 
 
+def _gaussian_noise(q: dict, tol: float) -> NumberDistribution:
+    """Gaussian noise for a mixture. A support whose mixture is too large is refused
+    before it is built, from a lower bound on the sectors it keeps."""
+    mean, std = q["mean"], q["std"]
+    sectors = fock._gaussian_kept_sectors(mean, std, tol)
+    what = f"gaussian noise mean={mean!r}, std={std!r}: a mixture of at least {sectors:,} sectors"
+    fock.require_mixture_sectors(sectors, what)
+    return gaussian_distribution(mean, std, tail_tol=tol)
+
+
 # Each family and noise kind: its keys, as key -> (coerce, required), and its builder, which
 # takes the checked keys and the tail tolerance in effect. A builder looks its constructor up
 # in this module's globals when called, so a wrapper put there sees every call.
@@ -88,10 +98,7 @@ _MEAN = {"mean": (_as_float, True)}
 _NOISE = {
     "poissonian": (_MEAN, lambda q, tol: poissonian_distribution(q["mean"], tail_tol=tol)),
     "thermal": (_MEAN, lambda q, tol: thermal_distribution(q["mean"], tail_tol=tol)),
-    "gaussian": (
-        {**_MEAN, "std": (_as_float, True)},
-        lambda q, tol: gaussian_distribution(q["mean"], q["std"], tail_tol=tol),
-    ),
+    "gaussian": ({**_MEAN, "std": (_as_float, True)}, _gaussian_noise),
     "point": ({"n": (_as_int, True)}, lambda q, tol: NumberDistribution.point(q["n"])),
 }
 # The flat sector kernel of each mixture base, given the mixture's keys.

@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from npsteer import PureTwoModeState, cli, fock, phase_povm
+from npsteer import PureTwoModeState, cli, fock, phase_povm, statespec
 from npsteer.observables import REPORT_FIELDS
 from npsteer.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
 
@@ -178,6 +178,25 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--state", spec)
         assert code == 3
         assert err.startswith(f"error: array too large: {key}")
+        assert " bytes, over the 1,073,741,824-byte limit on one array" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("noise,key", [
+        ('{"mean": 1e7, "std": 2e5}', "mean=10000000.0, std=200000.0"),
+        ('{"mean": 1.0, "std": 1e308}', "mean=1.0, std=1e+308"),  # the support's bounds overflow
+    ])
+    def test_wide_gaussian_mixture_exits_three_before_its_support_is_built(
+        self, capsys, monkeypatch, refuse_large_arrays, noise, key
+    ):
+        def no_support(*args, **kwargs):
+            raise AssertionError("the gaussian support was built")
+
+        monkeypatch.setattr(statespec, "gaussian_distribution", no_support)
+        spec = ('{"family": "mixture", "base": "number_phase", '
+                f'"noise": {{"kind": "gaussian", {noise[1:]}}}')
+        code, out, err = run(capsys, "eval", "--state", spec)
+        assert code == 3
+        assert err.startswith(f"error: array too large: gaussian noise {key}: a mixture of at least ")
         assert " bytes, over the 1,073,741,824-byte limit on one array" in err
         assert out == ""
 
@@ -673,6 +692,41 @@ class TestCurves:
         path = tmp_path / "no" / "such" / "curves.csv"
         code, out, err = run(capsys, "curves", "--out", str(path))
         assert_cannot_write(code, out, err, path)
+
+
+class TestRangeBounds:
+    """A range's bounds are checked, and its point count sized, before any array or file."""
+
+    @pytest.mark.parametrize("argv,name,value", [
+        (("sweep", "--state", NP1, "--sweep", "N:0:nan:1"), "hi", "nan"),
+        (("sweep", "--state", NP1, "--sweep", "N:0:inf:1"), "hi", "inf"),
+        (("sweep", "--state", NP1, "--sweep", "N:-inf:0:1"), "lo", "-inf"),
+        (("sweep", "--state", NP1, "--sweep", "N:0:1:nan"), "step", "nan"),
+        (("curves", "--sweep", "d2:0.5:inf:0.1"), "hi", "inf"),
+    ], ids=lambda a: a[-1] if isinstance(a, tuple) else None)
+    def test_non_finite_bound_exits_two_naming_it(self, capsys, tmp_path, argv, name, value):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err == f"error: range {name} must be finite, got {value} in {argv[-1]!r}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sweep,points", [
+        ("N:0:1:1e-320", "over 1.8e+308"),  # (hi - lo) / step overflows
+        ("N:0:1e300:1", "1e+300"),
+        ("N:0:134217728:1", "1.34e+08"),  # one point past the limit
+    ])
+    def test_too_many_points_exit_three_before_any_array(self, capsys, tmp_path,
+                                                         refuse_large_arrays, sweep, points):
+        code, out, err = run(capsys, "sweep", "--state", NP1, "--sweep", sweep,
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert err == (
+            f"error: array too large: range {sweep!r} holds {points} points, whose values "
+            "need more than the 1,073,741,824-byte limit on one array\n"
+        )
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserCache:

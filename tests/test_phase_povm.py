@@ -22,8 +22,13 @@ from npsteer import (
     two_mode_squeezed_state,
     write_samples_csv,
 )
-from npsteer.fock import NumberDistribution, poissonian_distribution, thermal_distribution
-from npsteer.observables import exp_phase_relative
+from npsteer.fock import (
+    NumberDistribution,
+    gaussian_distribution,
+    poissonian_distribution,
+    thermal_distribution,
+)
+from npsteer.observables import TruncationBiasWarning, exp_phase_relative, observable_report
 from npsteer.phase_povm import (
     JointPhaseDensity,
     PhaseDensity,
@@ -36,7 +41,7 @@ from npsteer.phase_povm import (
     wrap_angle,
 )
 
-from npsteer import fock, phase_povm
+from npsteer import cli, fock, phase_povm
 from oracles import (
     flat_mixture,
     joined,
@@ -301,6 +306,82 @@ class TestSummedProfiles:
         monkeypatch.setattr(phase_povm, "_summed_profiles", oracle_summed_profiles)
         want = sample_local_phases(mix, 3000, 17)
         assert [s.phis.tobytes() for s in got] == [s.phis.tobytes() for s in want]
+
+
+class TestDensityAlongside:
+    """``alongside`` (the CLI's observable report) runs beside the density's helper; the
+    density, the report and the errors must not show it."""
+
+    # Each state and the helpers its density is shared with when one is available.
+    STATES = {
+        "tmss_r2": (lambda: two_mode_squeezed_state(2.0), 1),
+        "gaussian_400_10": (lambda: flat_mixture(gaussian_distribution(400.0, 10.0)), 1),
+        "number_phase_1000": (lambda: number_phase_state(1000, 0.0), 0),
+    }
+
+    @pytest.fixture
+    def teams(self, monkeypatch):
+        """The helper count of every team started, in order."""
+        started = []
+        team = phase_povm._Team
+        monkeypatch.setattr(phase_povm, "_Team", lambda h: started.append(h) or team(h))
+        return started
+
+    @pytest.mark.filterwarnings("ignore::npsteer.TruncationBiasWarning")  # n = 1000 ends at the edge
+    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_same_bytes_with_and_without_alongside(self, monkeypatch, teams, helpers, name):
+        make, shared = self.STATES[name]
+        state = make()
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 0)
+        want = relative_phase_density(state).values.tobytes()
+        report = observable_report(state)
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
+        reports = []
+
+        def alongside():
+            assert threading.current_thread() is threading.main_thread()
+            reports.append(observable_report(state))
+
+        assert relative_phase_density(state).values.tobytes() == want
+        assert relative_phase_density(state, alongside=alongside).values.tobytes() == want
+        assert reports == [report]
+        assert teams == [0, helpers * shared, helpers * shared]
+
+    def test_alongside_failure_while_the_helper_transforms(self, monkeypatch, teams):
+        """The error surfaces as it is, once the helper has stopped and been joined, and the
+        caller's switch interval is back."""
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        fft = np.fft.fft
+        transforming = threading.Event()
+
+        def fft_signalling(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                transforming.set()
+            return fft(*args, **kwargs)
+
+        def failing_report():
+            assert transforming.wait(10.0)
+            raise OSError("report failed")
+
+        monkeypatch.setattr(np.fft, "fft", fft_signalling)
+        threads = threading.enumerate()
+        interval = sys.getswitchinterval()
+        with pytest.raises(OSError, match="report failed"):
+            relative_phase_density(two_mode_squeezed_state(2.0), alongside=failing_report)
+        assert teams == [1]
+        assert threading.enumerate() == threads
+        assert sys.getswitchinterval() == interval
+
+    def test_report_warning_reaches_the_caller_of_a_shared_density(self, capsys, monkeypatch,
+                                                                   teams):
+        # 201 sectors at K = 1024 make four shared blocks; the top sector holds 3e-8 of the mass.
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        spec = '{"family": "tmss", "r": 2.0, "cutoff": 200, "tail_tol": 1e-5}'
+        with pytest.warns(TruncationBiasWarning, match="cutoff edge"):
+            assert cli.main(["eval", "--state", spec]) == 0
+        assert teams == [1]
+        assert capsys.readouterr().out.startswith("NP_ENT ")
 
 
 class TestJointDensity:

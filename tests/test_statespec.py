@@ -13,7 +13,13 @@ from npsteer import (
     split_fock_state,
     two_mode_squeezed_state,
 )
-from npsteer.fock import poissonian_distribution
+from npsteer import fock, statespec
+from npsteer.fock import (
+    ArraySizeError,
+    gaussian_distribution,
+    mixture_from_sector_amplitudes,
+    poissonian_distribution,
+)
 from npsteer.statespec import SWEEP_KEYS, StateSpec, StateSpecError, load_state_spec
 
 from oracles import mixture_sectors, oracle_sector_amplitudes
@@ -280,3 +286,57 @@ def test_a_sweep_point_is_the_parsed_edited_spec(spec, var, value):
         return
     assert parse_state_spec(json.dumps(spec)).with_param(var, value) == want
 
+
+
+class _ReachedAmplitudes(Exception):
+    """The build got past every size check to the sector amplitudes."""
+
+
+def _reach_amplitudes(totals):
+    raise _ReachedAmplitudes
+
+
+@pytest.mark.parametrize("mean,tol", [(3e4, 1e-10), (2e3, 1e-10), (1e5, 0.5)])
+def test_early_gaussian_refusal_keeps_the_build_first_outcome(monkeypatch, mean, tol):
+    """A spec's wide gaussian mixture is refused from a bound on its sectors before the
+    support is built. Near both the early check's boundary and that of the mixture's own
+    check, found by bisection on std, the spec exits as building the support first does."""
+    monkeypatch.setattr(fock, "_number_phase_amps", lambda totals, phi: _reach_amplitudes(totals))
+
+    def outcome(build) -> str:
+        try:
+            build()
+        except ArraySizeError:
+            return "refused"
+        except _ReachedAmplitudes:
+            return "built"
+        raise AssertionError("the build neither refused nor reached the amplitudes")
+
+    def spec_outcome(std: float) -> str:
+        spec = {"family": "mixture", "base": "number_phase", "tail_tol": tol,
+                "noise": {"kind": "gaussian", "mean": mean, "std": std}}
+        return outcome(parse_state_spec(json.dumps(spec)).build)
+
+    def build_first(std: float) -> str:  # the standalone distribution builds at any width
+        dist = gaussian_distribution(mean, std, tail_tol=tol)
+        return outcome(lambda: mixture_from_sector_amplitudes(dist, _reach_amplitudes))
+
+    def early_outcome(std: float) -> str:  # "built" once the early check lets the support be built
+        with monkeypatch.context() as m:
+            m.setattr(statespec, "gaussian_distribution",
+                      lambda *a, **k: _reach_amplitudes(None))
+            return spec_outcome(std)
+
+    def boundary(refused) -> tuple[float, float]:
+        lo, hi = 1.0, 1e4
+        assert not refused(lo) and refused(hi)
+        while hi - lo > 1e-6 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+        return lo, hi
+
+    early = boundary(lambda std: early_outcome(std) == "refused")
+    late = boundary(lambda std: build_first(std) == "refused")
+    assert late[1] <= early[1]  # the early bound never refuses a mixture that would build
+    for std in (*early, *late):
+        assert spec_outcome(std) == build_first(std)
