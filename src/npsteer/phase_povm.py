@@ -227,14 +227,13 @@ def relative_phase_density(
     Built sector by sector: p(phi) = (1/2pi) sum_N w_N |sum_m a_{N,m} e^{-i m phi}|^2,
     with w_N = 1 and a_{N,m} = c[m, N - m] for a pure state.
 
-    ``alongside``, if given, is called once on the calling thread, once the
+    ``alongside``, if given, is called once on the calling thread, after the
     grid and the transform block are checked and the sector view is built:
-    while a helper thread
-    transforms sector blocks when the density is shared with one (more than
-    one CPU, SHARED_DENSITY_BLOCKS blocks or more), else before the blocks are
-    transformed. The density does not depend on it; its exception, or a
-    helper's, is raised here once every helper has stopped. The CLI computes
-    the observable report this way.
+    while a helper thread transforms sector blocks when the density is shared
+    with one (more than one CPU, SHARED_DENSITY_BLOCKS blocks or more), else
+    before the blocks are transformed. The density does not depend on it; its
+    exception, or a helper's, is raised here once every helper has stopped.
+    The CLI computes the observable report this way.
     """
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
