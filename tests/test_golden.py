@@ -20,6 +20,11 @@ Its ``chunked_samples`` entries were recorded before the bootstrap moved to a
 helper thread and the CSV writer to chunks: a run long enough to span many
 writer chunks, run again with index draws split into several chunks, with and
 without the helper thread.
+
+Its two ``mean`` sweeps, the last ``bytes`` entries, were recorded before a noise sweep
+point reused the sectors of the point before it: a split_fock base whose supports cross
+N = 300, where its kernel moves from exact binomials to log-factorials, and a poissonian
+mixture whose support shifts and widens.
 """
 import hashlib
 import json
