@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .criteria import CriterionVerdict, all_verdicts, boundary_curves, sampled_np_verdicts
-from .fock import MAX_ARRAY_BYTES, ArraySizeError, TruncationError
+from .fock import MAX_ARRAY_BYTES, ArraySizeError, State, TruncationError
 from .observables import ObservableReport, number_moments, observable_report
 from .phase_povm import (
     estimate_relative_dispersion,
@@ -38,6 +38,8 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_SEED = 0
 DEFAULT_Z = 5.0
 DEFAULT_CURVE_RANGE = "d2:0.005:1.0:0.005"
+# The most characters a CSV cell and its comma or newline take: a float's repr has 24 at most.
+_CELL_BYTES = 25
 
 CURVE_COLUMNS = (
     "d2",
@@ -84,7 +86,14 @@ def _verdict_line(v: CriterionVerdict) -> str:
     return line
 
 
-def _parse_range(text: str, expected_var: tuple[str, ...]) -> tuple[str, np.ndarray]:
+def _parse_range(
+    text: str, expected_var: tuple[str, ...], columns: tuple[str, ...]
+) -> tuple[str, np.ndarray]:
+    """The variable and the points of range ``text``, one CSV line of ``columns`` a point.
+
+    The point count is sized before any array: both its values and the CSV text of its
+    lines, which is joined into one string, must keep within MAX_ARRAY_BYTES.
+    """
     parts = text.split(":")
     if len(parts) != 4:
         raise _UsageError(f"range must look like var:lo:hi:step, got {text!r}")
@@ -106,12 +115,13 @@ def _parse_range(text: str, expected_var: tuple[str, ...]) -> tuple[str, np.ndar
     count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count < 1:
         raise _UsageError(f"range {text!r} contains no points")
-    if 8 * count > MAX_ARRAY_BYTES:
-        many = f"{count:.3g}" if math.isfinite(count) else f"over {sys.float_info.max:.3g}"
-        raise ArraySizeError(
-            f"range {text!r} holds {many} points, whose values need more than the "
-            f"{MAX_ARRAY_BYTES:,}-byte limit on one array"
-        )
+    for nbytes, of in ((8, "values"), (_CELL_BYTES * len(columns), "CSV lines")):
+        if nbytes * count > MAX_ARRAY_BYTES:
+            many = f"{count:.3g}" if math.isfinite(count) else f"over {sys.float_info.max:.3g}"
+            raise ArraySizeError(
+                f"range {text!r} holds {many} points, whose {of} need more than the "
+                f"{MAX_ARRAY_BYTES:,}-byte limit on one array"
+            )
     values = lo + step * np.arange(count)
     return var, values
 
@@ -172,14 +182,13 @@ def _spec_echo(spec: StateSpec) -> dict:
 
 
 def _evaluate(
-    spec: StateSpec, args: argparse.Namespace
+    state: State, args: argparse.Namespace
 ) -> tuple[ObservableReport, list[CriterionVerdict]]:
-    """Build the state, its observable report and relative phase density, and the verdicts.
+    """The state's observable report and, from it and the relative phase density, the verdicts.
 
     The report is computed on this thread while the density's helper thread, if it
     has one, transforms sector blocks.
     """
-    state = spec.build(args.tail_tol)
     reports = []
     density = relative_phase_density(
         state, args.grid, alongside=lambda: reports.append(observable_report(state))
@@ -200,11 +209,14 @@ def _cell(x) -> str:
     return str(int(x)) if isinstance(x, bool) else repr(float(x))
 
 
-def _table(columns, rows) -> str:
-    """CSV text: the header, then each row's value under every column name."""
-    lines = [",".join(columns)]
-    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+def _line(columns, row) -> str:
+    """One CSV line: the row's value under every column name."""
+    return ",".join(_cell(row[c]) for c in columns)
+
+
+def _table(columns, lines) -> str:
+    """CSV text: the header, then the lines."""
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _write(path: str, text: str) -> None:
@@ -241,7 +253,7 @@ def _writable(*paths: str | None):
 def cmd_eval(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     with _writable(args.out):
-        report, verdicts = _evaluate(spec, args)
+        report, verdicts = _evaluate(spec.build(args.tail_tol), args)
         for v in verdicts:
             print(_verdict_line(v))
         if args.format == "json":
@@ -253,7 +265,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             text = json.dumps(payload, indent=2) + "\n"
         else:
             values = _columns(report, verdicts)
-            text = _table(tuple(values), [values])
+            text = _table(tuple(values), [_line(values, values)])
         if args.out is not None:
             _write(args.out, text)
         else:
@@ -263,19 +275,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    var, values = _parse_range(args.sweep, tuple(SWEEP_KEYS))
-    rows = []
+    var, values = _parse_range(args.sweep, tuple(SWEEP_KEYS), SWEEP_COLUMNS)
+    # A noise sweep changes the weights alone: each point's mixture takes the sectors it
+    # shares with the point before it from that point's state.
+    noise = SWEEP_KEYS[var][0] == "noise"
+    lines, state = [], None
     with _writable(args.out):
         for value in values.tolist():
             try:
                 point = spec.with_param(var, value)
             except StateSpecError as exc:
                 raise _UsageError(str(exc)) from exc
-            report, verdicts = _evaluate(point, args)
+            state = point.build(args.tail_tol, state)
+            report, verdicts = _evaluate(state, args)
+            if not noise:
+                state = None
             naive_ok = next(v.advisory is None for v in verdicts if v.criterion_id == "NAIVE_ENT")
-            rows.append({"parameter": value, "naive_applicable": naive_ok, **_columns(report, verdicts)})
-        _write(args.out, _table(SWEEP_COLUMNS, rows))
-    print(f"wrote {len(rows)} sweep rows to {args.out}")
+            row = {"parameter": value, "naive_applicable": naive_ok, **_columns(report, verdicts)}
+            lines.append(_line(SWEEP_COLUMNS, row))
+        _write(args.out, _table(SWEEP_COLUMNS, lines))
+    print(f"wrote {len(lines)} sweep rows to {args.out}")
     return 0
 
 
@@ -320,20 +339,22 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    _, values = _parse_range(DEFAULT_CURVE_RANGE if args.sweep is None else args.sweep, ("d2",))
+    _, values = _parse_range(
+        DEFAULT_CURVE_RANGE if args.sweep is None else args.sweep, ("d2",), CURVE_COLUMNS
+    )
     if float(values.min()) <= 0.0 or float(values.max()) > 1.0:
         raise _UsageError("curves grid must stay inside (0, 1]")
     with _writable(args.out):
         ent, steer, ur = (
             boundary_curves(cid, values).threshold for cid in ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
         )
-        rows = [
-            {"d2": d2, "ent_threshold": e, "steer_threshold": s, "ur_sum_bound": u,
-             "ur_flat_reference": 0.75, "ur_min_d2": 0.5}
+        lines = [
+            _line(CURVE_COLUMNS, {"d2": d2, "ent_threshold": e, "steer_threshold": s,
+                                  "ur_sum_bound": u, "ur_flat_reference": 0.75, "ur_min_d2": 0.5})
             for d2, e, s, u in zip(values.tolist(), ent.tolist(), steer.tolist(), ur.tolist())
         ]
-        _write(args.out, _table(CURVE_COLUMNS, rows))
-    print(f"wrote {len(rows)} curve rows to {args.out}")
+        _write(args.out, _table(CURVE_COLUMNS, lines))
+    print(f"wrote {len(lines)} curve rows to {args.out}")
     return 0
 
 

@@ -191,14 +191,19 @@ def boundary_curves(which: str, d2_grid: np.ndarray) -> BoundaryCurve:
         raise ValueError("d2 grid must be a non-empty 1-d array")
     if float(d2.min()) <= 0.0 or float(d2.max()) > 1.0:
         raise ValueError("d2 grid must lie inside (0, 1]")
-    if which == "ENT_FIG2":
-        threshold = 1.0 / d2 - 1.0
-    elif which == "STEER_FIG2":
-        threshold = 0.25 / d2 - 0.25
-    elif which == "UR_FIG1":
-        threshold = 0.25 / d2 - 0.25 + d2
-    else:
-        raise ValueError(f"unknown curve {which!r}; use one of {', '.join(CURVE_IDS)}")
+    with np.errstate(over="ignore"):
+        if which == "ENT_FIG2":
+            threshold = 1.0 / d2 - 1.0
+        elif which == "STEER_FIG2":
+            threshold = 0.25 / d2 - 0.25
+        elif which == "UR_FIG1":
+            threshold = 0.25 / d2 - 0.25 + d2
+        else:
+            raise ValueError(f"unknown curve {which!r}; use one of {', '.join(CURVE_IDS)}")
+    if not np.isfinite(threshold).all():
+        raise ValueError(
+            f"d2 = {float(d2.min())!r} is too small: the {which} threshold overflows a float"
+        )
     return BoundaryCurve(which, d2, threshold)
 
 

@@ -681,16 +681,21 @@ def gaussian_distribution(
     meta['regime_violation'] is set when std is not small against the mean
     (the narrow-noise regime assumed by the asymptotic criteria).
     """
-    if mean <= 0:
+    if not mean > 0:  # NaN-safe
         raise ValueError(f"mean must be > 0, got {mean!r}")
-    if std <= 0:
+    if not std > 0:
         raise ValueError(f"std must be > 0, got {std!r}")
     if tail_tol <= 0:
         raise ValueError("tail tolerance must be positive")
     half_width = std * (math.sqrt(2.0 * math.log(1.0 / min(tail_tol, 0.1))) + 6.0) + 4.0
+    what = f"gaussian noise mean={mean!r}, std={std!r}"
+    if not math.isfinite(mean + half_width):
+        raise ArraySizeError(
+            f"{what}: the support, {half_width:.3g} either side of the mean, reaches "
+            "beyond the largest float, so no array can hold its masses"
+        )
     lo = max(0, int(math.floor(mean - half_width)))
     hi = int(math.ceil(mean + half_width))
-    what = f"gaussian noise mean={mean!r}, std={std!r}"
     require_array_bytes(8 * (hi - lo + 1), f"{what}: the masses for N = {lo}..{hi}")
     n = np.arange(lo, hi + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -797,8 +802,25 @@ class SectorMixture:
         return _weighted_view(self.amps, self.starts, self._totals, self._weights)
 
 
+def _normalized_sectors(
+    totals: np.ndarray, amps_builder: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The amplitudes ``amps_builder`` returns for ``totals``, each sector normalized alone."""
+    amps = np.asarray(amps_builder(totals), dtype=np.complex128)
+    starts = _flat_layout(totals, amps)
+    if not amps.flags.writeable:
+        amps = amps.copy()
+    mass = np.abs(amps)
+    roots = np.sqrt(_sector_sums(np.square(mass, out=mass), starts))
+    del mass
+    amps /= np.repeat(roots, totals + 1)
+    return amps
+
+
 def mixture_from_sector_amplitudes(
-    dist: NumberDistribution, amps_builder: Callable[[np.ndarray], np.ndarray]
+    dist: NumberDistribution,
+    amps_builder: Callable[[np.ndarray], np.ndarray],
+    previous: SectorMixture | None = None,
 ) -> SectorMixture:
     """Mix the sector states ``amps_builder`` returns with weights from ``dist``.
 
@@ -808,6 +830,12 @@ def mixture_from_sector_amplitudes(
     that sector alone. The returned array becomes the mixture's storage and
     is normalized in place (a read-only one is copied first), so a builder
     returns a new array.
+
+    ``previous``, a mixture built by the same ``amps_builder`` for another
+    distribution, lends the sectors the two supports share: they are copied,
+    and only the others are built and normalized. A sector's amplitudes are
+    elementwise in m and N and normalized alone, so they have the same bytes
+    whichever sectors were built beside them, and so does the mixture.
     """
     totals = dist.support
     what = f"a mixture of {len(totals)} sectors up to N = {totals[-1]}"
@@ -815,15 +843,30 @@ def mixture_from_sector_amplitudes(
     k = len(totals)
     require_mixture_sectors(k, what)
     require_array_bytes(16 * (sum(totals.tolist()) + k), what)
-    amps = np.asarray(amps_builder(totals), dtype=np.complex128)
-    starts = _flat_layout(totals, amps)
-    if not amps.flags.writeable:
-        amps = amps.copy()
-    mass = np.abs(amps)
-    roots = np.sqrt(_sector_sums(np.square(mass, out=mass), starts))
-    del mass
-    amps /= np.repeat(roots, totals + 1)
-    return SectorMixture(totals, dist.masses, amps)
+    if previous is not None:
+        old = previous.totals()
+        at = np.minimum(np.searchsorted(old, totals), len(old) - 1)
+        shared = old[at] == totals
+    if previous is None or not shared.any():
+        return SectorMixture(totals, dist.masses, _normalized_sectors(totals, amps_builder))
+    fresh = totals[~shared]
+    built = _normalized_sectors(fresh, amps_builder) if len(fresh) else None
+    # Runs of sectors that are all built here, or all shared and consecutive in `previous` too:
+    # each run is one slice of `built` or of previous.amps.
+    cuts = np.flatnonzero(
+        (shared[1:] != shared[:-1]) | (shared[1:] & (at[1:] != at[:-1] + 1))
+    ) + 1
+    starts = _sector_starts(totals).tolist()
+    pieces, used = [], 0
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), k]):
+        size = starts[hi] - starts[lo]
+        if shared[lo]:
+            first = int(previous.starts[at[lo]])
+            pieces.append(previous.amps[first : first + size])
+        else:
+            pieces.append(built[used : used + size])
+            used += size
+    return SectorMixture(totals, dist.masses, np.concatenate(pieces))
 
 
 State = PureTwoModeState | SectorMixture

@@ -125,8 +125,8 @@ _FAMILIES = {
         {"base": (_as_base, True), "phi": (_as_float, False),
          "transmissivity": (_as_float, False), "noise": (dict, True),
          "tail_tol": (_as_float, False)},
-        lambda p, tol: mixture_from_sector_amplitudes(
-            _NOISE[p["noise"]["kind"]][1](p["noise"], tol), _MIXTURE_BASES[p["base"]](p)
+        lambda p, tol, previous=None: mixture_from_sector_amplitudes(
+            _NOISE[p["noise"]["kind"]][1](p["noise"], tol), _MIXTURE_BASES[p["base"]](p), previous
         ),
     ),
 }
@@ -170,16 +170,22 @@ class StateSpec:
         target[key] = value
         return _checked(obj)
 
-    def build(self, tail_tol: float | None = None) -> State:
+    def build(self, tail_tol: float | None = None, previous: State | None = None) -> State:
         """Construct the state; spec-level tail_tol overrides the argument.
 
         The tolerance in effect must be finite with 0 < tail_tol < 1: a
         tolerance of 1 or more would trim a distribution to nothing.
+
+        ``previous`` is taken by the mixture family alone: the state built from a spec
+        that differs from this one in its noise alone. It lends the sectors the two
+        supports share (see ``mixture_from_sector_amplitudes``); the bytes are those of
+        a build without it.
         """
         tol = self.params.get("tail_tol", tail_tol if tail_tol is not None else DEFAULT_TAIL_TOL)
         if not 0.0 < tol < 1.0:
             raise StateSpecError(f"tail_tol must be finite with 0 < tail_tol < 1, got {tol!r}")
-        return _FAMILIES[self.family][1](self.params, tol)
+        build = _FAMILIES[self.family][1]
+        return build(self.params, tol) if previous is None else build(self.params, tol, previous)
 
 
 def _checked(obj: dict) -> StateSpec:

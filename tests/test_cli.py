@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,6 +30,14 @@ NP3 = '{"family": "number_phase", "n": 3}'
 TMSS1 = '{"family": "tmss", "r": 1.0}'
 POISSON3 = (
     '{"family": "mixture", "base": "number_phase", "noise": {"kind": "poissonian", "mean": 3.0}}'
+)
+SPLIT_POISSON = (
+    '{"family": "mixture", "base": "split_fock", "phi": 0.4, '
+    '"noise": {"kind": "poissonian", "mean": 20.0}}'
+)
+GAUSS = (
+    '{"family": "mixture", "base": "number_phase", "phi": 0.7, '
+    '"noise": {"kind": "gaussian", "mean": 200.0, "std": 5.0}}'
 )
 
 
@@ -452,6 +461,34 @@ class TestSweep:
         )
         assert_cannot_write(code, out, err, path)
 
+    @pytest.mark.parametrize("state,sweep,reused", [
+        (NP1, "N:1:3:1", False),
+        (TMSS1, "r:0.25:0.75:0.25", False),
+        (SPLIT_POISSON, "transmissivity:0.1:0.5:0.2", False),
+        (SPLIT_POISSON, "mean:10:30:10", True),
+        (GAUSS, "std:4:8:2", True),
+    ], ids=["N", "r", "transmissivity", "mean", "std"])
+    def test_a_noise_sweep_alone_builds_each_point_from_the_previous_state(
+        self, capsys, tmp_path, monkeypatch, state, sweep, reused
+    ):
+        """Only a mean or std sweep hands each point the state of the point before it;
+        another sweep has let that state go by then, and no state outlives the sweep."""
+        build, handed, alive, refs = statespec.StateSpec.build, [], [], []
+
+        def spy(spec, tail_tol=None, previous=None):
+            alive.append(bool(refs) and refs[-1]() is not None)
+            handed.append(previous is not None and previous is refs[-1]())
+            state = build(spec, tail_tol, previous)
+            refs.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(statespec.StateSpec, "build", spy)
+        code, _, err = run(capsys, "sweep", "--state", state, "--sweep", sweep,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 0, err
+        assert handed == alive == [False, reused, reused]
+        assert [ref() for ref in refs] == [None, None, None]
+
 
 class TestSample:
     def test_deterministic_outputs(self, capsys, tmp_path):
@@ -652,6 +689,13 @@ class TestCurves:
         assert {row["ur_flat_reference"] for row in rows} == {"0.75"}
         assert {row["ur_min_d2"] for row in rows} == {"0.5"}
 
+    def test_grid_whose_threshold_overflows_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "curves", "--sweep", "d2:1e-320:1e-300:1",
+                             "--out", str(tmp_path / "c.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: d2 = 1e-320 is too small: the ENT_FIG2 threshold overflows a float\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_custom_range(self, capsys, tmp_path):
         out_path = tmp_path / "curves.csv"
         code, _, _ = run(
@@ -727,6 +771,73 @@ class TestRangeBounds:
         )
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("argv,points", [
+        (("sweep", "--state", NP1, "--sweep", "N:0:134217727:1"), "1.34e+08"),  # values: 1 GiB
+        (("curves", "--sweep", "d2:1e-9:1:1e-7"), "1e+07"),
+    ])
+    def test_csv_lines_over_the_limit_exit_three_within_a_second(self, capsys, tmp_path,
+                                                                 refuse_large_arrays, argv, points):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err == (
+            f"error: array too large: range {argv[-1]!r} holds {points} points, whose CSV "
+            "lines need more than the 1,073,741,824-byte limit on one array\n"
+        )
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+# Values a range bound or step may take: those the range checks were written for (reversed
+# bounds come from the negative ones), and small ones.
+FUZZ_RANGE_NUMBERS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 1e-320, 5e-324,
+                     0.0, -1.0]),
+    st.floats(),
+)
+# The command, on a cheap state, that reads each range variable, and the numbers lo, hi - lo
+# and step of its ranges that run to the end.
+FUZZ_RANGE_COMMANDS = {
+    "N": (("sweep", "--state", NP1), st.integers(0, 30).map(float), st.integers(1, 8).map(float)),
+    "mean": (("sweep", "--state", POISSON3), st.floats(0.1, 15.0), st.floats(0.15, 15.0)),
+    "d2": (("curves",), st.floats(0.01, 0.5), st.floats(0.01, 0.5)),
+}
+
+
+@st.composite
+def fuzz_ranges(draw):
+    """A range var:lo:hi:step, one of its numbers perhaps out of range."""
+    var = draw(st.sampled_from(sorted(FUZZ_RANGE_COMMANDS)))
+    _, bound, step = FUZZ_RANGE_COMMANDS[var]
+    lo = draw(bound)
+    valid = {"lo": lo, "hi": lo + draw(bound), "step": draw(step)}
+    wild = draw(st.sampled_from([None, *valid]))
+    numbers = [draw(FUZZ_RANGE_NUMBERS) if key == wild else x for key, x in valid.items()]
+    return var, ":".join([var, *map(repr, numbers)])
+
+
+@given(case=fuzz_ranges())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_range_fuzz_exits_cleanly_with_finite_csv_cells(case, capsys, monkeypatch, tmp_path,
+                                                       refuse_large_arrays):
+    """Any sweep or curves range ends in exit 0 with finite CSV cells, or in a named error
+    (2 or 3); never in a traceback. A lower array limit keeps every accepted range small."""
+    var, text = case
+    for module in (fock, cli):
+        monkeypatch.setattr(module, "MAX_ARRAY_BYTES", 1 << 16)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([*FUZZ_RANGE_COMMANDS[var][0], "--sweep", text, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        _, rows = read_csv(out)
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row.values())
 
 
 class TestParserCache:

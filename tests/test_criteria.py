@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,14 @@ class TestBoundaryCurves:
             boundary_curves("ENT_FIG2", np.array([0.5, 1.2]))
         with pytest.raises(ValueError, match="unknown curve"):
             boundary_curves("FIG3", np.array([0.5]))
+
+    @pytest.mark.parametrize("which", ["ENT_FIG2", "STEER_FIG2", "UR_FIG1"])
+    def test_threshold_beyond_the_float_range_is_refused_without_warning(self, which):
+        assert np.isfinite(boundary_curves(which, np.array([1e-308, 0.5])).threshold).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"d2 = 1e-320 is too small: the {which} threshold"):
+                boundary_curves(which, np.array([1e-320, 0.5]))
 
 
 class TestVerdictShape:

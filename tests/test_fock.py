@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -606,6 +607,43 @@ class TestSectorMixtures:
             fock.require_array_bytes(fock.MAX_ARRAY_BYTES + 1, "an array")
 
 
+def _uniform(support) -> NumberDistribution:
+    return NumberDistribution(support, np.full(len(support), 1.0 / len(support)))
+
+
+@given(
+    before=st.sets(st.integers(0, 330), min_size=1, max_size=40),
+    after=st.sets(st.integers(0, 330), min_size=1, max_size=40),
+    base=st.sampled_from(["number_phase", "split_fock"]),
+    phi=st.sampled_from([0.0, 1e-3, 0.7, -2.3, 3.1]),
+    t=st.floats(0.05, 0.999),
+)
+@settings(max_examples=60)
+def test_mixture_from_a_previous_one_has_the_bytes_of_a_fresh_build(before, after, base, phi, t):
+    """Supports with gaps on either side, across N = 300 where the split kernel moves from
+    exact binomials to log-factorials: the shared sectors are copied, only the others are
+    built, and the mixture has the bytes of a build without the previous one."""
+    kernel = (
+        (lambda totals: fock._number_phase_amps(totals, phi)) if base == "number_phase"
+        else (lambda totals: fock._split_fock_amps(totals, phi, t))
+    )
+    previous = mixture_from_sector_amplitudes(_uniform(sorted(before)), kernel)
+    asked = []
+
+    def spy(totals):
+        asked.append(totals.tolist())
+        return kernel(totals)
+
+    dist = _uniform(sorted(after))
+    mix = mixture_from_sector_amplitudes(dist, spy, previous)
+    fresh = mixture_from_sector_amplitudes(dist, kernel)
+    for a, b in ((mix.totals(), fresh.totals()), (mix.weights(), fresh.weights()),
+                 (mix.amps, fresh.amps), (mix.starts, fresh.starts)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    new = sorted(after - before)
+    assert asked == ([new] if new else [])
+
+
 
 def assert_flat_build_matches_oracle(dist, phi, t):
     """Kernels, mixtures and fixed-total states equal the per-sector build exactly."""
@@ -787,6 +825,15 @@ class TestBuildLimits:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"std = {std!r} is too small"):
                 gaussian_distribution(mean, std)
+
+    @pytest.mark.parametrize("mean,std", [(1.0, 1e308), (1e308, 1e307)])
+    def test_gaussian_support_beyond_the_float_range_names_std(self, refuse_large_arrays,
+                                                                 mean, std):
+        what = re.escape(f"gaussian noise mean={mean!r}, std={std!r}")
+        with pytest.raises(ArraySizeError, match=(
+            rf"^{what}: the support, \S+ either side of the mean, reaches beyond the largest float"
+        )):
+            gaussian_distribution(mean, std)
 
     def test_narrow_gaussian_is_a_point_mass(self):
         assert probs(gaussian_distribution(400.0, 1e-160)) == {400: 1.0}

@@ -340,3 +340,73 @@ def test_early_gaussian_refusal_keeps_the_build_first_outcome(monkeypatch, mean,
     assert late[1] <= early[1]  # the early bound never refuses a mixture that would build
     for std in (*early, *late):
         assert spec_outcome(std) == build_first(std)
+
+
+def _mixture_bytes(state) -> tuple[bytes, bytes, bytes]:
+    return state.totals().tobytes(), state.weights().tobytes(), state.amps.tobytes()
+
+
+def _noise_spec(base: str, phi: float, noise: dict) -> StateSpec:
+    spec = {"family": "mixture", "base": base, "phi": phi, "noise": noise}
+    if base == "split_fock":
+        spec["transmissivity"] = 0.3
+    return parse_state_spec(json.dumps(spec))
+
+
+# A noise sweep's two points, (noise, variable, value), for each way their supports can meet.
+SUPPORT_CHANGES = {
+    "widen": ({"kind": "gaussian", "mean": 400.0, "std": 10.0}, "std", 14.0),
+    "narrow": ({"kind": "gaussian", "mean": 400.0, "std": 14.0}, "std", 10.0),
+    "shift": ({"kind": "gaussian", "mean": 260.0, "std": 10.0}, "mean", 300.0),  # across N = 300
+    "disjoint": ({"kind": "gaussian", "mean": 100.0, "std": 5.0}, "mean", 400.0),
+    "shift and widen": ({"kind": "poissonian", "mean": 20.0}, "mean", 80.0),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, -2.3])
+@pytest.mark.parametrize("base", ["number_phase", "split_fock"])
+@pytest.mark.parametrize("change", SUPPORT_CHANGES)
+def test_noise_sweep_point_from_the_previous_state_has_the_standalone_bytes(change, base, phi):
+    noise, var, value = SUPPORT_CHANGES[change]
+    spec = _noise_spec(base, phi, noise)
+    previous = spec.build()
+    point = spec.with_param(var, value)
+    state = point.build(previous=previous)
+    assert _mixture_bytes(state) == _mixture_bytes(point.build())
+    old, new = set(previous.totals().tolist()), set(state.totals().tolist())
+    shifted = bool(old & new) and min(old) < min(new) and max(old) < max(new)
+    assert {
+        "widen": old < new,
+        "narrow": new < old,
+        "shift": shifted,
+        "disjoint": not old & new,
+        "shift and widen": shifted and len(old) < len(new),
+    }[change]
+
+
+NOISE_RANGES = {"mean": st.floats(20.0, 700.0), "std": st.floats(1.0, 40.0)}
+
+
+@given(
+    base=st.sampled_from(["number_phase", "split_fock"]),
+    phi=st.sampled_from([0.0, 1e-3, 0.7, -2.3, 3.1]),
+    t=st.floats(0.05, 0.999),
+    var=st.sampled_from(sorted(NOISE_RANGES)),
+    data=st.data(),
+)
+@settings(max_examples=40)
+def test_noise_sweep_of_mixtures_from_previous_states_has_the_standalone_bytes(
+    base, phi, t, var, data
+):
+    """Each point of a mean or std sweep, built from the state of the point before it,
+    equals ``spec.with_param(var, value).build()`` byte for byte."""
+    noise = {"kind": "gaussian", **{k: data.draw(r) for k, r in NOISE_RANGES.items()}}
+    spec = {"family": "mixture", "base": base, "phi": phi, "noise": noise}
+    if base == "split_fock":
+        spec["transmissivity"] = t
+    spec = parse_state_spec(json.dumps(spec))
+    state = spec.build()
+    for value in data.draw(st.lists(NOISE_RANGES[var], min_size=1, max_size=3)):
+        point = spec.with_param(var, value)
+        state = point.build(previous=state)
+        assert _mixture_bytes(state) == _mixture_bytes(point.build())
