@@ -772,7 +772,6 @@ class TestRangeBounds:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
-
     @pytest.mark.parametrize("argv,points", [
         (("sweep", "--state", NP1, "--sweep", "N:0:134217727:1"), "1.34e+08"),  # values: 1 GiB
         (("curves", "--sweep", "d2:1e-9:1:1e-7"), "1e+07"),
