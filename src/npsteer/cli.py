@@ -23,7 +23,10 @@ import sys
 
 import numpy as np
 
-from .criteria import CriterionVerdict, all_verdicts, boundary_curves, sampled_np_verdicts
+from .criteria import (
+    CURVE_IDS, UR_MIN, UR_MIN_D2, CriterionVerdict, all_verdicts, boundary_curves,
+    sampled_np_verdicts,
+)
 from .fock import MAX_ARRAY_BYTES, ArraySizeError, State, TruncationError
 from .observables import ObservableReport, number_moments, observable_report
 from .phase_povm import (
@@ -41,6 +44,7 @@ DEFAULT_CURVE_RANGE = "d2:0.005:1.0:0.005"
 # The most characters a CSV cell and its comma or newline take: a float's repr has 24 at most.
 _CELL_BYTES = 25
 
+# d2, the threshold of each curve of CURVE_IDS in its order, and the UR minimum and its d2
 CURVE_COLUMNS = (
     "d2",
     "ent_threshold",
@@ -63,10 +67,6 @@ SWEEP_COLUMNS = (
     "hz_steer_a_by_b_margin",
     "hz_steer_b_by_a_margin",
 )
-
-
-class _UsageError(Exception):
-    """Bad flags or malformed input; maps to exit code 2."""
 
 
 def _color_enabled() -> bool:
@@ -96,25 +96,25 @@ def _parse_range(
     """
     parts = text.split(":")
     if len(parts) != 4:
-        raise _UsageError(f"range must look like var:lo:hi:step, got {text!r}")
+        raise ValueError(f"range must look like var:lo:hi:step, got {text!r}")
     var = parts[0]
     if var not in expected_var:
-        raise _UsageError(
+        raise ValueError(
             f"unknown sweep variable {var!r}; expected one of {', '.join(expected_var)}"
         )
     try:
         lo, hi, step = (float(p) for p in parts[1:])
     except ValueError as exc:
-        raise _UsageError(f"non-numeric range bound in {text!r}: {exc}") from exc
+        raise ValueError(f"non-numeric range bound in {text!r}: {exc}") from exc
     for name, bound in (("lo", lo), ("hi", hi), ("step", step)):
         if not math.isfinite(bound):
-            raise _UsageError(f"range {name} must be finite, got {bound!r} in {text!r}")
+            raise ValueError(f"range {name} must be finite, got {bound!r} in {text!r}")
     if step <= 0:
-        raise _UsageError(f"range step must be > 0, got {step!r}")
+        raise ValueError(f"range step must be > 0, got {step!r}")
     span = (hi - lo) / step + 1e-9  # overflows to inf when the count is beyond a float
     count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count < 1:
-        raise _UsageError(f"range {text!r} contains no points")
+        raise ValueError(f"range {text!r} contains no points")
     for nbytes, of in ((8, "values"), (_CELL_BYTES * len(columns), "CSV lines")):
         if nbytes * count > MAX_ARRAY_BYTES:
             many = f"{count:.3g}" if math.isfinite(count) else f"over {sys.float_info.max:.3g}"
@@ -133,14 +133,14 @@ def _parse_assert(text: str) -> dict[str, bool]:
         if not item:
             continue
         if "=" not in item:
-            raise _UsageError(f"assert item {item!r} must look like ID=violated|ok")
+            raise ValueError(f"assert item {item!r} must look like ID=violated|ok")
         cid, _, want = item.partition("=")
         want = want.strip().lower()
         if want not in ("violated", "ok", "not_violated"):
-            raise _UsageError(f"assert value for {cid!r} must be 'violated' or 'ok'")
+            raise ValueError(f"assert value for {cid!r} must be 'violated' or 'ok'")
         out[cid.strip()] = want == "violated"
     if not out:
-        raise _UsageError("empty --assert expression")
+        raise ValueError("empty --assert expression")
     return out
 
 
@@ -151,7 +151,7 @@ def _check_asserts(spec: str | None, verdicts: list[CriterionVerdict]) -> int:
     by_id = {v.criterion_id: v for v in verdicts}
     unknown = sorted(set(wanted) - set(by_id))
     if unknown:
-        raise _UsageError(
+        raise ValueError(
             f"--assert names unknown criteria {', '.join(unknown)}; "
             f"this run produced {', '.join(by_id)}"
         )
@@ -171,7 +171,7 @@ def _check_asserts(spec: str | None, verdicts: list[CriterionVerdict]) -> int:
 
 def _load_spec(args: argparse.Namespace) -> StateSpec:
     if args.tail_tol is not None and not 0.0 < args.tail_tol < 1.0:
-        raise _UsageError(
+        raise ValueError(
             f"--tail-tol must be finite with 0 < tail_tol < 1, got {args.tail_tol!r}"
         )
     return load_state_spec(args.state)
@@ -239,7 +239,7 @@ def _writable(*paths: str | None):
             try:
                 open(path, "a").close()
             except OSError as exc:
-                raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+                raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
             if not existed:
                 created.append(path)
         yield
@@ -285,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 point = spec.with_param(var, value)
             except StateSpecError as exc:
-                raise _UsageError(str(exc)) from exc
+                raise ValueError(str(exc)) from exc  # a bad range value, not a bad spec
             state = point.build(args.tail_tol, state)
             report, verdicts = _evaluate(state, args)
             if not noise:
@@ -300,9 +300,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.shots < 2:
-        raise _UsageError("--shots must be >= 2")
+        raise ValueError("--shots must be >= 2")
     if not (math.isfinite(args.z) and args.z >= 0.0):
-        raise _UsageError(f"--z must be finite and >= 0, got {args.z!r}")
+        raise ValueError(f"--z must be finite and >= 0, got {args.z!r}")
     spec = _load_spec(args)
     est_path = args.out + ".est.json"
     with _writable(args.out, est_path):
@@ -342,16 +342,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     _, values = _parse_range(
         DEFAULT_CURVE_RANGE if args.sweep is None else args.sweep, ("d2",), CURVE_COLUMNS
     )
-    if float(values.min()) <= 0.0 or float(values.max()) > 1.0:
-        raise _UsageError("curves grid must stay inside (0, 1]")
     with _writable(args.out):
-        ent, steer, ur = (
-            boundary_curves(cid, values).threshold for cid in ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
-        )
+        thresholds = [boundary_curves(cid, values).threshold.tolist() for cid in CURVE_IDS]
         lines = [
-            _line(CURVE_COLUMNS, {"d2": d2, "ent_threshold": e, "steer_threshold": s,
-                                  "ur_sum_bound": u, "ur_flat_reference": 0.75, "ur_min_d2": 0.5})
-            for d2, e, s, u in zip(values.tolist(), ent.tolist(), steer.tolist(), ur.tolist())
+            ",".join(map(_cell, (d2, *t, UR_MIN, UR_MIN_D2)))
+            for d2, *t in zip(values.tolist(), *thresholds)
         ]
         _write(args.out, _table(CURVE_COLUMNS, lines))
     print(f"wrote {len(lines)} curve rows to {args.out}")
@@ -408,9 +403,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StateSpecError as exc:
         print(f"error: bad state spec: {exc}", file=sys.stderr)
         return 2

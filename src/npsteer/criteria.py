@@ -10,7 +10,8 @@ flapping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,15 @@ _NAIVE_ADVISORY = (
     "exceeds {limit}); trust the NP_* verdicts instead"
 )
 
-CURVE_IDS = ("ENT_FIG2", "STEER_FIG2", "UR_FIG1")
+# Each product criterion (Δ²N + s) D² >= s, kept by separable, non-steerable and all one-mode
+# states in turn: its shift s, and the boundary curve that solves it for Δ²N.
+PRODUCT_CRITERIA = {"NP_ENT": (1.0, "ENT_FIG2"), "NP_STEER": (0.25, "STEER_FIG2"),
+                    "SM_UR": (0.25, "UR_FIG1")}
+CURVE_IDS = tuple(curve for _, curve in PRODUCT_CRITERIA.values())
+_CURVE_SHIFTS = {curve: s for s, curve in PRODUCT_CRITERIA.values()}
+# The UR_FIG1 bound s/d2 - s + d2 is least at d2 = sqrt(s), where it equals 2 sqrt(s) - s.
+UR_MIN_D2 = math.sqrt(PRODUCT_CRITERIA["SM_UR"][0])
+UR_MIN = 2.0 * UR_MIN_D2 - PRODUCT_CRITERIA["SM_UR"][0]
 
 
 @dataclass(frozen=True)
@@ -62,16 +71,20 @@ def _above_bound(cid, lhs, bound) -> CriterionVerdict:
     return CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated)
 
 
+def _product(cid: str, n_var: float, d2: float) -> CriterionVerdict:
+    """Verdict of product criterion ``cid``: (n_var + s) * d2 >= s, s its shift."""
+    s = PRODUCT_CRITERIA[cid][0]
+    return _below_bound(cid, (n_var + s) * d2, s)
+
+
 def np_entanglement(report: ObservableReport) -> CriterionVerdict:
     """Separable states satisfy (total-number variance + 1) * dispersion >= 1."""
-    lhs = (report.n_var + 1.0) * report.d2_rel
-    return _below_bound("NP_ENT", lhs, 1.0)
+    return _product("NP_ENT", report.n_var, report.d2_rel)
 
 
 def np_steering(report: ObservableReport) -> CriterionVerdict:
     """Non-steerable states satisfy (total-number variance + 1/4) * dispersion >= 1/4."""
-    lhs = (report.n_var + 0.25) * report.d2_rel
-    return _below_bound("NP_STEER", lhs, 0.25)
+    return _product("NP_STEER", report.n_var, report.d2_rel)
 
 
 class NaiveVerdicts(NamedTuple):
@@ -123,8 +136,7 @@ def hz_criteria(report: ObservableReport) -> HZVerdicts:
 
 def single_mode_ur_check(n_var: float, d2: float) -> CriterionVerdict:
     """Single-mode number-phase uncertainty product; physical states never violate it."""
-    lhs = (n_var + 0.25) * d2
-    return _below_bound("SM_UR", lhs, 0.25)
+    return _product("SM_UR", n_var, d2)
 
 
 class SampledVerdicts(NamedTuple):
@@ -151,14 +163,13 @@ def sampled_np_verdicts(
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     claim_se = max(d2_se, shots**-0.5)
     advisory = f"sampled: violation requires clearing the bound by {z} standard errors"
-    verdicts = []
-    for cid, shift, bound in (("NP_ENT", 1.0, 1.0), ("NP_STEER", 0.25, 0.25)):
-        lhs, se = (n_var + shift) * d2_hat, (n_var + shift) * claim_se
-        violated = bool(lhs + z * se < bound)
-        verdicts.append(
-            CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated, advisory)
-        )
-    return SampledVerdicts(*verdicts)
+
+    def claimed(cid: str) -> CriterionVerdict:
+        v = _product(cid, n_var, d2_hat)
+        se = (n_var + v.bound) * claim_se
+        return replace(v, violated=bool(v.lhs + z * se < v.bound), advisory=advisory)
+
+    return SampledVerdicts(claimed("NP_ENT"), claimed("NP_STEER"))
 
 
 @dataclass(frozen=True)
@@ -170,36 +181,31 @@ class BoundaryCurve:
     threshold: np.ndarray
 
     def __post_init__(self):
-        d2 = np.asarray(self.d2, dtype=float)
-        threshold = np.asarray(self.threshold, dtype=float)
-        d2.flags.writeable = False
-        threshold.flags.writeable = False
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "threshold", threshold)
+        for name in ("d2", "threshold"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def boundary_curves(which: str, d2_grid: np.ndarray) -> BoundaryCurve:
-    """Critical curves as a function of the relative (or single-mode) dispersion.
+    """Critical curves as a function of the relative (or single-mode) dispersion: each
+    product criterion's (Δ²N + s) D² >= s solved for Δ²N, s/d2 - s.
 
     ENT_FIG2:   variance below 1/d2 - 1 certifies entanglement.
     STEER_FIG2: variance below 1/(4 d2) - 1/4 certifies steering.
     UR_FIG1:    lower bound 1/(4 d2) - 1/4 + d2 on the variance-plus-dispersion
-                sum, minimized at d2 = 1/2 where it equals 3/4.
+                sum, minimized at d2 = UR_MIN_D2 = 1/2 where it equals UR_MIN = 3/4.
     """
+    if which not in _CURVE_SHIFTS:
+        raise ValueError(f"unknown curve {which!r}; use one of {', '.join(CURVE_IDS)}")
     d2 = np.asarray(d2_grid, dtype=float)
     if d2.ndim != 1 or len(d2) == 0:
         raise ValueError("d2 grid must be a non-empty 1-d array")
     if float(d2.min()) <= 0.0 or float(d2.max()) > 1.0:
         raise ValueError("d2 grid must lie inside (0, 1]")
+    s = _CURVE_SHIFTS[which]
     with np.errstate(over="ignore"):
-        if which == "ENT_FIG2":
-            threshold = 1.0 / d2 - 1.0
-        elif which == "STEER_FIG2":
-            threshold = 0.25 / d2 - 0.25
-        elif which == "UR_FIG1":
-            threshold = 0.25 / d2 - 0.25 + d2
-        else:
-            raise ValueError(f"unknown curve {which!r}; use one of {', '.join(CURVE_IDS)}")
+        threshold = s / d2 - s + d2 if which == "UR_FIG1" else s / d2 - s
     if not np.isfinite(threshold).all():
         raise ValueError(
             f"d2 = {float(d2.min())!r} is too small: the {which} threshold overflows a float"

@@ -68,6 +68,21 @@ def _int64_array(values, what: str) -> np.ndarray:
     return a
 
 
+# The argument checks of the public builders: NaN-safe, each error names the argument. A finite
+# value too large to build passes them, and the size or tail checks refuse it.
+def _count(value, name: str) -> int:
+    """``value``, a finite, non-negative and integral photon count, as an int."""
+    if not (0 <= value < math.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _require_positive(value: float, name: str) -> None:
+    """Refuse ``value`` unless it is a positive finite real."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class SectorView(NamedTuple):
     """A state's total-number sectors as one flat, ragged layout.
 
@@ -413,9 +428,7 @@ def _split_fock_amps(totals: np.ndarray, phi: float, transmissivity: float) -> n
 
 def _fixed_total_state(n: int, amps_kernel: Callable[[np.ndarray], np.ndarray]) -> PureTwoModeState:
     """The one-sector state of total ``n`` whose amplitudes ``amps_kernel`` builds."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"total number must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _count(n, "n")
     require_array_bytes(16 * (n + 1), f"n={n}: a sector of {n + 1:,} amplitudes")
     return PureTwoModeState.from_sector(n, amps_kernel(np.array([n])))
 
@@ -448,8 +461,7 @@ def tmss_tail_mass(r: float, cutoff: int) -> float:
 
 def select_cutoff(r: float, tail_tol: float) -> int:
     """Smallest cutoff M with squeezed-state tail mass below tail_tol."""
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+    _require_positive(tail_tol, "tail_tol")
     lam = math.tanh(r) ** 2
     if lam == 0.0:
         return 0
@@ -524,15 +536,13 @@ def two_mode_squeezed_state(
     only when ``coeffs`` is read, yet it is held to the grid's size limit,
     since its sums span arrays of the grid's length.
     """
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+    if not r >= 0:  # NaN-safe; r = inf is refused by the cutoff search
+        raise ValueError(f"r must be >= 0, got {r!r}")
+    _require_positive(tail_tol, "tail_tol")
     if cutoff is None:
         cutoff = _tmss_moment_cutoff(r, tail_tol)
     else:
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        cutoff = _count(cutoff, "cutoff")
         if tmss_tail_mass(r, cutoff) >= tail_tol:
             required = select_cutoff(r, tail_tol)
             raise TruncationError(
@@ -580,9 +590,7 @@ class NumberDistribution:
 
     @classmethod
     def point(cls, n: int) -> "NumberDistribution":
-        if n < 0 or n != int(n):
-            raise ValueError("point support must be a non-negative integer")
-        return cls([int(n)], [1.0], meta={"kept_mass": 1.0})
+        return cls([_count(n, "n")], [1.0], meta={"kept_mass": 1.0})
 
     # np.sum adds pairwise; np.dot would leave the order of the sum to the BLAS threads
     @property
@@ -635,10 +643,8 @@ def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     outward from the mode, so term ratios are preserved to machine
     precision at any mean.
     """
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean!r}")
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+    _require_positive(mean, "mean")
+    _require_positive(tail_tol, "tail_tol")
     horizon = int(math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0))
     what = f"poissonian noise mean={mean!r}"
     require_array_bytes(8 * (horizon + 1), f"{what}: the masses for N = 0..{horizon}")
@@ -654,10 +660,8 @@ def poissonian_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 
 def thermal_distribution(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> NumberDistribution:
     """Thermal (geometric) photon-number noise, truncated and renormalized."""
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean!r}")
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+    _require_positive(mean, "mean")
+    _require_positive(tail_tol, "tail_tol")
     q = mean / (mean + 1.0)
     if q == 1.0:
         raise TruncationError(f"thermal noise mean={mean!r} is beyond double precision")
@@ -681,12 +685,9 @@ def gaussian_distribution(
     meta['regime_violation'] is set when std is not small against the mean
     (the narrow-noise regime assumed by the asymptotic criteria).
     """
-    if not mean > 0:  # NaN-safe
-        raise ValueError(f"mean must be > 0, got {mean!r}")
-    if not std > 0:
-        raise ValueError(f"std must be > 0, got {std!r}")
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+    _require_positive(mean, "mean")
+    _require_positive(std, "std")
+    _require_positive(tail_tol, "tail_tol")
     half_width = std * (math.sqrt(2.0 * math.log(1.0 / min(tail_tol, 0.1))) + 6.0) + 4.0
     what = f"gaussian noise mean={mean!r}, std={std!r}"
     if not math.isfinite(mean + half_width):

@@ -149,9 +149,9 @@ def _ladder_moments(state: State) -> tuple[complex, complex, complex]:
     return tuple(state.lowering_sum(i, j, root) for i, j in ((1, 0), (0, 1), (1, 1)))
 
 
-def _warn_on_edge_mass(edge_mass: float, edge_tol: float) -> None:
-    """Warn the public function's caller when the levels m, n = cutoff carry over edge_tol."""
-    if edge_mass > edge_tol:
+def _warn_on_edge_mass(edge_mass: float) -> None:
+    """Warn the public function's caller when the levels m, n = cutoff carry over EDGE_MASS_TOL."""
+    if edge_mass > EDGE_MASS_TOL:
         message = "state carries mass at the cutoff edge; quadrature moments may be biased"
         warnings.warn(message, TruncationBiasWarning, stacklevel=3)
 
@@ -161,18 +161,18 @@ def _quadrature_sum(n_mean: float, ladder: tuple[complex, complex, complex]) -> 
     return 2.0 * (n_mean + 1.0) - 4.0 * a1a2.real - 2.0 * abs(a1 - a2.conjugate()) ** 2
 
 
-def quadrature_sum_variance(state: State, edge_tol: float = EDGE_MASS_TOL) -> float:
+def quadrature_sum_variance(state: State) -> float:
     """Var(X1 - X2) + Var(P1 + P2) with X = (a + a†)/sqrt(2), P = (a - a†)/(i sqrt(2)).
 
     That is 2(<N> + 1) - 4 Re<a1 a2> - 2|<a1> - <a2>*|^2: the <a1† a2> and
     <a_j^2> terms cancel between the two variances. A TruncationBiasWarning
-    is emitted when the cutoff edge carries more than ``edge_tol`` of
+    is emitted when the cutoff edge carries more than ``EDGE_MASS_TOL`` of
     probability mass; for states whose support ends exactly at the cutoff
     (fixed total number) the warning is conservative.
     """
     ladder = _ladder_moments(state)
     nm, _, _, edge_mass = _view_sums(state)
-    _warn_on_edge_mass(edge_mass, edge_tol)
+    _warn_on_edge_mass(edge_mass)
     return _quadrature_sum(nm.n_mean, ladder)
 
 
@@ -224,7 +224,7 @@ def observable_report(state: State) -> ObservableReport:
     ladder = _ladder_moments(state)
     nm, e_rel, hz, edge_mass = _view_sums(state)
     disp = _dispersions(e_rel, e1, e2)
-    _warn_on_edge_mass(edge_mass, EDGE_MASS_TOL)
+    _warn_on_edge_mass(edge_mass)
     quad = _quadrature_sum(nm.n_mean, ladder)
     return ObservableReport(
         n_mean=nm.n_mean, n_var=nm.n_var, n1_var=nm.n1_var, n2_var=nm.n2_var,

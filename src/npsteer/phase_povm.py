@@ -386,8 +386,10 @@ def sample_local_phases(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if seed < 0 or start_shot < 0:
-        raise ValueError("seed and start_shot must be non-negative integers")
+    if not 0 <= seed < 1 << 128:  # the key range of the Philox stream
+        raise ValueError(f"--seed {seed}: the seed must be a non-negative integer below 2**128")
+    if start_shot < 0:
+        raise ValueError("start_shot must be a non-negative integer")
     # The largest per-shot array is the uniforms, four doubles a shot.
     require_array_bytes(32 * shots, f"--shots {shots}: the {shots:,} x 4 shot uniforms")
     if grid_size is not None:

@@ -51,7 +51,7 @@ def _require_keys(obj: dict, allowed: dict, context: str) -> dict:
         if key in obj:
             try:
                 out[key] = coerce(obj[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
                 raise StateSpecError(f"bad value for {context} key {key!r}: {exc}") from exc
         elif required:
             raise StateSpecError(f"missing required {context} key {key!r}")
@@ -59,9 +59,7 @@ def _require_keys(obj: dict, allowed: dict, context: str) -> dict:
 
 
 def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -839,6 +839,81 @@ def test_range_fuzz_exits_cleanly_with_finite_csv_cells(case, capsys, monkeypatc
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row.values())
 
 
+FUZZ_SAMPLE_STATES = (
+    '{"family": "number_phase", "n": 2}',
+    '{"family": "tmss", "r": 0.5}',
+    '{"family": "mixture", "base": "number_phase", "noise": {"kind": "poissonian", "mean": 2.0}}',
+)
+# Each sample flag: its valid values, and its wild ones. Shots stay at a few hundred.
+FUZZ_SAMPLE_FLAGS = {
+    "--shots": (st.integers(2, 300), st.sampled_from([-4, 0, 1, 1 << 40, 10**11])),
+    "--seed": (st.integers(0, 2**32 - 1),
+               st.sampled_from([-1, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200])),
+    "--grid": (st.sampled_from([256, 512]),
+               st.one_of(st.integers(-4, 255),  # below the floor
+                         st.integers(128, 4096).map(lambda half: 2 * half + 1),  # odd
+                         st.sampled_from([1 << 40, 1 << 62, 1 << 70]))),  # huge even
+    "--z": (st.floats(0.0, 10.0), st.one_of(st.floats(), st.sampled_from([1e308, -0.0]))),
+    "--tail-tol": (st.floats(1e-12, 0.5), st.floats()),
+}
+
+
+@st.composite
+def fuzz_sample_flags(draw):
+    """A state and sample flags, one of them perhaps wild; --shots is always given."""
+    flags = ["--shots", *(f for f in FUZZ_SAMPLE_FLAGS if f != "--shots" and draw(st.booleans()))]
+    wild = draw(st.sampled_from([None, *flags]))
+    argv = [f"{f}={draw(FUZZ_SAMPLE_FLAGS[f][f == wild])!r}" for f in flags]
+    return draw(st.sampled_from(FUZZ_SAMPLE_STATES)), argv
+
+
+def non_finite_numbers(payload) -> list:
+    """Every number in a decoded JSON payload that is not finite."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [x for item in payload for x in non_finite_numbers(item)]
+    is_number = isinstance(payload, (int, float)) and not isinstance(payload, bool)
+    return [payload] if is_number and not math.isfinite(payload) else []
+
+
+@given(case=fuzz_sample_flags())
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sample_flag_fuzz_exits_cleanly_with_finite_estimates(case, capsys, monkeypatch,
+                                                              tmp_path, refuse_large_arrays):
+    """Any sample flags end in exit 0 with finite numbers in the estimate, or in a named
+    error (2 or 3); never in a traceback. A lower array limit keeps every accepted case small."""
+    state, flags = case
+    monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 1 << 22)
+    out = tmp_path / "s.csv"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["sample", "--state", state, *flags, "--out", str(out)])
+    except SystemExit as exc:  # the parser rejects a flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        est = json.loads((tmp_path / "s.csv.est.json").read_text())
+        assert non_finite_numbers(est) == [], est
+
+
+@pytest.mark.parametrize("seed,code", [(-1, 2), (2**128, 2), (2**64, 0), (2**128 - 1, 0)])
+def test_seed_outside_the_key_range_exits_two_naming_it(capsys, tmp_path, seed, code):
+    out = tmp_path / "s.csv"
+    got, _, err = run(capsys, "sample", "--state", NP3, "--shots", "20", f"--seed={seed}",
+                      "--out", str(out))
+    assert got == code
+    if code:
+        assert err == (f"error: --seed {seed}: the seed must be a non-negative integer "
+                       "below 2**128\n")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert json.loads((tmp_path / "s.csv.est.json").read_text())["seed"] == seed
+
+
 class TestParserCache:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

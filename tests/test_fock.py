@@ -839,6 +839,41 @@ class TestBuildLimits:
         assert probs(gaussian_distribution(400.0, 1e-160)) == {400: 1.0}
 
 
+# Each public builder, valid arguments for it, and the arguments the table below makes bad.
+# tail_tol = 1.0 lets the squeezed state take a small explicit cutoff.
+BUILDER_ARGUMENTS = [
+    (poissonian_distribution, {"mean": 5.0}, ("mean", "tail_tol")),
+    (thermal_distribution, {"mean": 3.0}, ("mean", "tail_tol")),
+    (gaussian_distribution, {"mean": 400.0, "std": 10.0}, ("mean", "std", "tail_tol")),
+    (select_cutoff, {"r": 1.0, "tail_tol": 1e-10}, ("tail_tol",)),
+    (two_mode_squeezed_state, {"r": 1.0, "cutoff": 2, "tail_tol": 1.0},
+     ("r", "cutoff", "tail_tol")),
+    (number_phase_state, {"n": 2, "phi": 0.0}, ("n",)),
+    (split_fock_state, {"n": 2, "phi": 0.0}, ("n",)),
+    (NumberDistribution.point, {"n": 2}, ("n",)),
+]
+BAD_ARGUMENTS = [
+    pytest.param(build, {**kwargs, arg: value}, arg,
+                 id=f"{build.__qualname__}-{arg}={value!r}")
+    for build, kwargs, args in BUILDER_ARGUMENTS
+    for arg in args
+    for value in (math.nan, math.inf, -math.inf, *((2.5,) if arg in ("n", "cutoff") else ()))
+    if (build, arg, value) != (two_mode_squeezed_state, "r", math.inf)  # a TruncationError
+]
+
+
+@pytest.mark.parametrize("build,kwargs,arg", BAD_ARGUMENTS)
+def test_a_bad_builder_argument_raises_a_value_error_naming_it(build, kwargs, arg):
+    with pytest.raises(ValueError, match=rf"^{arg} must be "):
+        build(**kwargs)
+
+
+@pytest.mark.parametrize("cutoff", [None, 2])
+def test_infinite_squeezing_is_a_truncation_error(cutoff):
+    with pytest.raises(TruncationError, match="cutoff"):
+        two_mode_squeezed_state(math.inf, cutoff=cutoff)
+
+
 @given(total=st.integers(min_value=0, max_value=12), seed=st.integers(0, 2**32 - 1))
 def test_sector_embedding_roundtrip(total, seed):
     rng = np.random.default_rng(seed)

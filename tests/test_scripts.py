@@ -1,6 +1,7 @@
 """The paper scripts, run small: pinned output bytes and the paper's robustness claims;
 the README's Library example, run as it stands; the README naming every export; and the
-README's tables of state keys and sweep variables matching those of ``npsteer.statespec``.
+README's tables of state keys and sweep variables matching those of ``npsteer.statespec``,
+and its rows of the product criteria matching the shifts in ``npsteer.criteria``.
 
 ``script_goldens.json`` holds every CSV that ``scripts/figure_data.py --n-max 5``
 and ``scripts/noise_robustness.py --steps 16`` write, and the stdout of the
@@ -13,12 +14,13 @@ import json
 import re
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import npsteer
-from npsteer import statespec
+from npsteer import criteria, statespec
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = Path(__file__).parent / "script_goldens.json"
@@ -102,17 +104,22 @@ def test_every_export_is_named_in_the_readme():
     assert [name for name in npsteer.__all__ if not re.search(rf"\b{name}\b", readme)] == []
 
 
-def readme_table(after: str) -> list[list[list[str]]]:
+def readme_rows(after: str) -> list[list[str]]:
     """The rows of the first Markdown table after the text ``after`` in the README, header
-    and rule left out: each row a list of cells, each cell the names in backticks in it."""
+    and rule left out: each row a list of its cells' text."""
     lines = (ROOT / "README.md").read_text().split(after, 1)[1].splitlines()
     start = next(i for i, line in enumerate(lines) if line.lstrip().startswith("|"))
     rows = []
     for line in lines[start + 2:]:
         if not line.lstrip().startswith("|"):
             break
-        rows.append([re.findall(r"`([^`]+)`", cell) for cell in line.strip().strip("|").split("|")])
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
     return rows
+
+
+def readme_table(after: str) -> list[list[list[str]]]:
+    """``readme_rows(after)``, each cell the names in backticks in it."""
+    return [[re.findall(r"`([^`]+)`", cell) for cell in row] for row in readme_rows(after)]
 
 
 def key_columns(table: dict) -> list[list[list[str]]]:
@@ -138,6 +145,15 @@ def test_readme_sweep_table_matches_the_sweep_keys():
             owners += [n for n, (keys, _) in statespec._NOISE.items() if path[-1] in keys]
         want.append([[var], [".".join(path)], owners])
     assert readme_table("Each sweep variable sets one key") == want
+
+
+def test_readme_criteria_rows_match_the_product_shifts():
+    """Each product criterion's row reads lhs (Δ²N + s) D² and bound s, s its shift."""
+    rows = {row[0]: row for row in readme_rows("## Criteria reference")}
+    for cid, (shift, _) in criteria.PRODUCT_CRITERIA.items():
+        lhs, bound = rows[f"`{cid}`"][1:3]
+        added = re.fullmatch(r"`\(Δ²N(_j|) \+ (\S+)\) D\1²`", lhs)
+        assert added and Fraction(added[2]) == Fraction(bound) == Fraction(shift), (cid, lhs, bound)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,12 @@ class TestValidation:
         with pytest.raises(StateSpecError, match="finite"):
             parse_state_spec('{"family": "tmss", "r": NaN}')
 
+    @pytest.mark.parametrize("key", ["phi", "transmissivity"])
+    def test_integer_beyond_the_float_range_names_its_key(self, key):
+        text = f'{{"family": "split_fock", "n": 1, "{key}": 1{"0" * 400}}}'
+        with pytest.raises(StateSpecError, match=f"key '{key}': int too large to convert to float"):
+            parse_state_spec(text)
+
     def test_transmissivity_requires_split_base(self):
         with pytest.raises(StateSpecError, match="transmissivity"):
             parse_state_spec(
