@@ -83,6 +83,12 @@ def _require_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_squeezing(r: float) -> None:
+    """Refuse a NaN or negative squeezing ``r``; r = inf is left to the cutoff search."""
+    if not r >= 0:
+        raise ValueError(f"r must be >= 0, got {r!r}")
+
+
 class SectorView(NamedTuple):
     """A state's total-number sectors as one flat, ragged layout.
 
@@ -453,6 +459,7 @@ def split_fock_state(n: int, phi: float, transmissivity: float = 0.5) -> PureTwo
 
 def tmss_tail_mass(r: float, cutoff: int) -> float:
     """Exact probability mass of a two-mode squeezed state beyond the cutoff."""
+    _require_squeezing(r)
     lam = math.tanh(r) ** 2
     if lam == 0.0:
         return 0.0
@@ -461,6 +468,7 @@ def tmss_tail_mass(r: float, cutoff: int) -> float:
 
 def select_cutoff(r: float, tail_tol: float) -> int:
     """Smallest cutoff M with squeezed-state tail mass below tail_tol."""
+    _require_squeezing(r)
     _require_positive(tail_tol, "tail_tol")
     lam = math.tanh(r) ** 2
     if lam == 0.0:
@@ -536,8 +544,7 @@ def two_mode_squeezed_state(
     only when ``coeffs`` is read, yet it is held to the grid's size limit,
     since its sums span arrays of the grid's length.
     """
-    if not r >= 0:  # NaN-safe; r = inf is refused by the cutoff search
-        raise ValueError(f"r must be >= 0, got {r!r}")
+    _require_squeezing(r)
     _require_positive(tail_tol, "tail_tol")
     if cutoff is None:
         cutoff = _tmss_moment_cutoff(r, tail_tol)

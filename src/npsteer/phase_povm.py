@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import os
 import sys
 import threading
@@ -41,9 +42,11 @@ DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
 CSV_CHUNK_ROWS = 1 << 8  # rows formatted per write
 OVERLAP_SWITCH_INTERVAL = 1e-4  # seconds
 MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time
+SHOT_BLOCK = 1 << 16  # shots whose uniforms are drawn, and inverted, at a time (2 MB)
 # Sector profiles are transformed a block of (sector, angle) cells at a time:
 # 32 sectors at K = 4096, about 3 MB of transform and power, and fewer sectors
-# per block at larger K, so the block never grows with the grid.
+# per block at larger K, so the block never grows with the grid. The joint
+# density's columns are transformed in blocks of as many cells (2 MB).
 DENSITY_BLOCK_CELLS = 1 << 17
 SHARED_DENSITY_BLOCKS = 3  # fewest shared blocks that pay for a helper thread (measured, 2 cores)
 
@@ -88,11 +91,17 @@ class _GridDensity:
     values: np.ndarray
 
     def _adopt(self, values: np.ndarray, what: str) -> None:
-        """Keep ``values`` clipped of float-level negatives, read-only; refuse larger ones."""
-        if float(values.min()) < NEGATIVE_CLIP_TOL:
+        """Keep ``values`` clipped of float-level negatives, read-only; refuse larger ones.
+
+        An array that is already read-only and has no negative value is kept
+        as it is, not copied (a -0.0 in it stays -0.0, which clipping makes +0.0).
+        """
+        low = float(values.min())
+        if low < NEGATIVE_CLIP_TOL:
             raise ValueError(f"{what} has negative values below {NEGATIVE_CLIP_TOL}")
-        values = np.clip(values, 0.0, None)  # a new array, owned here
-        values.flags.writeable = False
+        if values.flags.writeable or not low >= 0.0:  # NaN-safe: NaN is clipped as before
+            values = np.clip(values, 0.0, None)  # a new array, owned here
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @functools.cached_property
@@ -248,18 +257,36 @@ def joint_local_phase_density(
     """Joint density of the two local phases for a pure grid state.
 
     p(phi1, phi2) = |sum_{m,n} c[m,n] e^{-i(m phi1 + n phi2)}|^2 / (2 pi)^2.
+
+    The two passes of ``np.fft.fft2(signed, s=(K, K))``, in its order: the
+    rows are transformed at length K (a (cutoff + 1) x K complex array), then
+    the columns, a block of DENSITY_BLOCK_CELLS cells at a time, each block's
+    |.|^2 / (2 pi)^2 written into one K x K float grid that the density keeps.
+    Every 1-d transform, and every value, has the bits of the fft2 recipe.
     """
     if not isinstance(state, PureTwoModeState):
         raise ValueError("joint local phase density is defined for pure grid states")
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
-    require_array_bytes(16 * k * k, f"grid size K={k}: the K x K joint phase density")
+    # 8 bytes a cell for the grid, and at most as many for the row transform (K >= 2 (cutoff + 1))
+    require_array_bytes(
+        16 * k * k, f"grid size K={k}: the K x K joint phase density and its row transform"
+    )
     m = np.arange(cutoff + 1)
     sign = np.where(m % 2 == 0, 1.0, -1.0)
     signed = state.coeffs * sign[:, None] * sign[None, :]
-    values = np.abs(np.fft.fft2(signed, s=(k, k)))  # the K x K complex transform is freed here
-    values **= 2
-    values /= TWO_PI**2
+    rows = np.fft.fft(signed, n=k, axis=1)
+    del signed
+    values = np.empty((k, k))
+    width = max(1, DENSITY_BLOCK_CELLS // k)
+    block = np.empty((k, min(width, k)), dtype=np.complex128)
+    for lo in range(0, k, width):
+        hi = min(k, lo + width)
+        cols = np.fft.fft(rows[:, lo:hi], n=k, axis=0, out=block[:, : hi - lo])
+        out = np.abs(cols, out=values[:, lo:hi])
+        out **= 2
+        out /= TWO_PI**2
+    values.flags.writeable = False  # adopted as it is: no clipped copy
     return JointPhaseDensity(values)
 
 
@@ -301,6 +328,16 @@ def _shot_uniforms(seed: int, start_shot: int, shots: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((shots, 4))
 
 
+def _shot_blocks(seed: int, start_shot: int, shots: int):
+    """(offset, uniforms) for each block of SHOT_BLOCK shots, in shot order.
+
+    The block at ``offset`` keys Philox at ``start_shot + offset``, so its
+    rows are those of one draw for all the shots.
+    """
+    for lo in range(0, shots, SHOT_BLOCK):
+        yield lo, _shot_uniforms(seed, start_shot + lo, min(SHOT_BLOCK, shots - lo))
+
+
 def _padded_cdf(masses: np.ndarray) -> np.ndarray:
     out = np.empty(len(masses) + 1)
     out[0] = 0.0
@@ -330,9 +367,6 @@ def _groups(labels: np.ndarray):
 
 def _sample_pure(state: PureTwoModeState, grid_size, seed, start_shot, shots):
     joint = joint_local_phase_density(state, grid_size)
-    # Drawn only now, so that the uniforms do not add to the transform's peak.
-    u = _shot_uniforms(seed, start_shot, shots)
-    u1, u2 = u[:, 0], u[:, 1]
     h2 = joint.spacing**2
     # Cell masses are values * h2, formed a block of rows at a time rather than
     # as a second K x K array; the per-row sums are the same.
@@ -340,12 +374,18 @@ def _sample_pure(state: PureTwoModeState, grid_size, seed, start_shot, shots):
         [(joint.values[lo : lo + MASS_ROW_BLOCK] * h2).sum(axis=1)
          for lo in range(0, joint.grid_size, MASS_ROW_BLOCK)]
     )
-    idx1, frac1 = _invert_cells(_padded_cdf(row_mass), u1)
-    phi1 = _cells_to_angles(joint.phis, joint.spacing, idx1, frac1)
-    phi2 = np.empty_like(phi1)
+    row_cdf = _padded_cdf(row_mass)
+    # phi2 holds each shot's second uniform until its row's group turns it into an angle.
+    idx1 = np.empty(shots, dtype=np.intp)
+    phi1, phi2 = np.empty(shots), np.empty(shots)
+    for lo, u in _shot_blocks(seed, start_shot, shots):
+        hi = lo + len(u)
+        idx1[lo:hi], frac1 = _invert_cells(row_cdf, u[:, 0])
+        phi1[lo:hi] = _cells_to_angles(joint.phis, joint.spacing, idx1[lo:hi], frac1)
+        phi2[lo:hi] = u[:, 1]
     for row, group in _groups(idx1):
         col_cdf = _padded_cdf(joint.values[row] * h2 / row_mass[row])
-        idx2, frac2 = _invert_cells(col_cdf, u2[group])
+        idx2, frac2 = _invert_cells(col_cdf, phi2[group])
         phi2[group] = _cells_to_angles(joint.phis, joint.spacing, idx2, frac2)
     return phi1, phi2
 
@@ -370,6 +410,11 @@ def _sample_sector(amps: np.ndarray, u_delta, u_sum, grid_size):
     return wrap_angle(delta + phi2), phi2
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, not a bool: a stream coordinate or a shot count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def sample_local_phases(
     state: State,
     shots: int,
@@ -384,14 +429,17 @@ def sample_local_phases(
     weights. Fixed seed gives identical output; batches taken with
     ``start_shot`` partition the sequential run exactly.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if not 0 <= seed < 1 << 128:  # the key range of the Philox stream
+    if not _is_integer(shots) or shots < 1:
+        raise ValueError("shots must be an integer >= 1")
+    if not (_is_integer(seed) and 0 <= seed < 1 << 128):  # the key range of the Philox stream
         raise ValueError(f"--seed {seed}: the seed must be a non-negative integer below 2**128")
-    if start_shot < 0:
+    if not (_is_integer(start_shot) and start_shot >= 0):
         raise ValueError("start_shot must be a non-negative integer")
-    # The largest per-shot array is the uniforms, four doubles a shot.
-    require_array_bytes(32 * shots, f"--shots {shots}: the {shots:,} x 4 shot uniforms")
+    if int(start_shot) + int(shots) > 1 << 256:  # the counter range of the Philox stream
+        raise ValueError(f"start_shot {start_shot} + shots {shots} must be at most 2**256")
+    # Two angles and a cell or sector index a shot, under the bound of four doubles a shot;
+    # the uniforms are drawn SHOT_BLOCK shots at a time.
+    require_array_bytes(32 * shots, f"--shots {shots}: the per-shot arrays of {shots:,} shots")
     if grid_size is not None:
         grid_size = _validate_grid(grid_size, state.cutoff, floor=MIN_SAMPLING_GRID)
     if isinstance(state, PureTwoModeState):
@@ -400,13 +448,18 @@ def sample_local_phases(
         )
         phi1, phi2 = _sample_pure(state, k, seed, start_shot, shots)
     else:
-        u = _shot_uniforms(seed, start_shot, shots)
-        sector_idx, _ = _invert_cells(_padded_cdf(state.weights()), u[:, 0])
-        phi1 = np.empty(shots)
-        phi2 = np.empty(shots)
+        # phi1 and phi2 hold each shot's second and third uniforms until its sector's
+        # group turns them into angles.
+        weight_cdf = _padded_cdf(state.weights())
+        sector_idx = np.empty(shots, dtype=np.intp)
+        phi1, phi2 = np.empty(shots), np.empty(shots)
+        for lo, u in _shot_blocks(seed, start_shot, shots):
+            hi = lo + len(u)
+            sector_idx[lo:hi], _ = _invert_cells(weight_cdf, u[:, 0])
+            phi1[lo:hi], phi2[lo:hi] = u[:, 1], u[:, 2]
         for s, group in _groups(sector_idx):
             amps = state.amps[state.starts[s] : state.starts[s + 1]]
-            phi1[group], phi2[group] = _sample_sector(amps, u[group, 1], u[group, 2], grid_size)
+            phi1[group], phi2[group] = _sample_sector(amps, phi1[group], phi2[group], grid_size)
     return (
         SampleSet(phi1, shots, seed, start_shot),
         SampleSet(phi2, shots, seed, start_shot),
