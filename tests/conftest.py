@@ -39,12 +39,20 @@ def _arange_length(start, stop=None, step=None, *args, **kwargs):
     return max(0, math.ceil((stop - start) / (1 if step is None else step)))
 
 
+def _fft_shape(a, n=None, axis=-1, *args, **kwargs):
+    """Shape of the array np.fft.fft would return: ``a``'s, with ``n`` along ``axis``."""
+    shape = list(np.shape(a))
+    if n is not None:
+        shape[axis] = n
+    return shape
+
+
 @pytest.fixture
 def refuse_large_arrays(monkeypatch):
-    """Fail the test at any np.zeros, np.empty, np.arange, np.fft.fft2 or
+    """Fail the test at any np.zeros, np.empty, np.arange, np.fft.fft, np.fft.fft2 or
     np.random.Generator.random call for more than LARGE_ARRAY_ELEMENTS elements,
     before it allocates: the allocation guards must fire first, and a missing
-    guard must not start a huge allocation."""
+    guard must not start a huge allocation. A transform is sized by its output."""
 
     def refusing(fn, shape_of):
         def checked(*args, **kwargs):
@@ -57,6 +65,7 @@ def refuse_large_arrays(monkeypatch):
     monkeypatch.setattr(np, "zeros", refusing(np.zeros, lambda shape, *a, **k: shape))
     monkeypatch.setattr(np, "empty", refusing(np.empty, lambda shape, *a, **k: shape))
     monkeypatch.setattr(np, "arange", refusing(np.arange, _arange_length))
+    monkeypatch.setattr(np.fft, "fft", refusing(np.fft.fft, _fft_shape))
     monkeypatch.setattr(
         np.fft, "fft2", refusing(np.fft.fft2, lambda a, s=None, *r, **k: np.shape(a) if s is None else s)
     )

@@ -185,6 +185,18 @@ def oracle_density_loop(state, grid_size: int) -> np.ndarray:
     return oracle_summed_profiles(view.amps, view.starts, grid_size) / TWO_PI
 
 
+def oracle_joint_values(state: PureTwoModeState, grid_size: int) -> np.ndarray:
+    """Joint-density values as the two-dimensional transform made them: one ``fft2`` of the
+    sign-flipped grid at K x K, its modulus squared and scaled, then clipped into a new array."""
+    m = np.arange(state.cutoff + 1)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    signed = state.coeffs * sign[:, None] * sign[None, :]
+    values = np.abs(np.fft.fft2(signed, s=(grid_size, grid_size)))
+    values **= 2
+    values /= TWO_PI**2
+    return np.clip(values, 0.0, None)
+
+
 def oracle_joint_density(state: PureTwoModeState, phi1: float, phi2: float) -> float:
     """Direct evaluation of the joint local-phase density at one angle pair."""
     k = state.cutoff + 1

@@ -845,7 +845,8 @@ BUILDER_ARGUMENTS = [
     (poissonian_distribution, {"mean": 5.0}, ("mean", "tail_tol")),
     (thermal_distribution, {"mean": 3.0}, ("mean", "tail_tol")),
     (gaussian_distribution, {"mean": 400.0, "std": 10.0}, ("mean", "std", "tail_tol")),
-    (select_cutoff, {"r": 1.0, "tail_tol": 1e-10}, ("tail_tol",)),
+    (select_cutoff, {"r": 1.0, "tail_tol": 1e-10}, ("r", "tail_tol")),
+    (tmss_tail_mass, {"r": 1.0, "cutoff": 3}, ("r",)),
     (two_mode_squeezed_state, {"r": 1.0, "cutoff": 2, "tail_tol": 1.0},
      ("r", "cutoff", "tail_tol")),
     (number_phase_state, {"n": 2, "phi": 0.0}, ("n",)),
@@ -857,8 +858,9 @@ BAD_ARGUMENTS = [
                  id=f"{build.__qualname__}-{arg}={value!r}")
     for build, kwargs, args in BUILDER_ARGUMENTS
     for arg in args
-    for value in (math.nan, math.inf, -math.inf, *((2.5,) if arg in ("n", "cutoff") else ()))
-    if (build, arg, value) != (two_mode_squeezed_state, "r", math.inf)  # a TruncationError
+    for value in (math.nan, math.inf, -math.inf, *((2.5,) if arg in ("n", "cutoff") else ()),
+                  *((-1.0,) if arg == "r" else ()))
+    if (arg, value) != ("r", math.inf)  # see test_infinite_squeezing_is_a_truncation_error
 ]
 
 
@@ -872,6 +874,12 @@ def test_a_bad_builder_argument_raises_a_value_error_naming_it(build, kwargs, ar
 def test_infinite_squeezing_is_a_truncation_error(cutoff):
     with pytest.raises(TruncationError, match="cutoff"):
         two_mode_squeezed_state(math.inf, cutoff=cutoff)
+
+
+def test_infinite_squeezing_leaves_all_mass_in_the_tail():
+    with pytest.raises(TruncationError, match="no cutoff bounds the tail"):
+        select_cutoff(math.inf, 1e-10)
+    assert tmss_tail_mass(math.inf, 3) == 1.0
 
 
 @given(total=st.integers(min_value=0, max_value=12), seed=st.integers(0, 2**32 - 1))

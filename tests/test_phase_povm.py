@@ -43,11 +43,13 @@ from npsteer.phase_povm import (
 
 from npsteer import cli, fock, phase_povm
 from oracles import (
+    GRID_CASES,
     flat_mixture,
     joined,
     oracle_bootstrap_std,
     oracle_density_loop,
     oracle_joint_density,
+    oracle_joint_values,
     oracle_relative_density,
     oracle_samples_csv,
     oracle_summed_profiles,
@@ -58,6 +60,12 @@ from oracles import (
     write_density_csv,
 )
 
+
+JOINT_CASES = {
+    **GRID_CASES,
+    "number_phase-n3": lambda: number_phase_state(3, 0.7),
+    "split_fock-n40": lambda: split_fock_state(40, -1.1, 0.3),
+}
 
 FAMILY_STATES = [
     ("number_phase", lambda: number_phase_state(7, 0.4)),
@@ -417,6 +425,36 @@ class TestJointDensity:
         moment = complex(np.sum(phase * j.values) * h * h)
         assert moment == pytest.approx(exp_phase_relative(state), abs=1e-12)
 
+    @pytest.mark.parametrize("name", [*GRID_CASES, "number_phase-n3", "split_fock-n40"])
+    def test_values_equal_the_fft2_recipe_by_bytes(self, name):
+        state = JOINT_CASES[name]()
+        floor = max(phase_povm.MIN_GRID, nyquist_minimum(state.cutoff))
+        # an even K that is no power of two and that the column block width does not divide
+        odd = next(k for k in range(floor + 2, 4 * floor, 2)
+                   if k & (k - 1) and k % (phase_povm.DENSITY_BLOCK_CELLS // k))
+        for k in (floor, default_grid_size(state.cutoff), odd):
+            values = joint_local_phase_density(state, grid_size=k).values
+            assert values.tobytes() == oracle_joint_values(state, k).tobytes(), k
+
+    def test_keeps_the_grid_it_builds(self, monkeypatch):
+        # the density adopts its one K x K grid: no clipped copy of it is made
+        monkeypatch.setattr(np, "clip", lambda *a, **k: pytest.fail("the grid was copied"))
+        joint = joint_local_phase_density(number_phase_state(3, 0.0))
+        assert not joint.values.flags.writeable
+
+    def test_peak_memory_is_one_grid_and_the_row_transform(self):
+        # the K x K float grid, the (cutoff + 1) x K complex row transform and one column
+        # block: the fft2 recipe held a complex K x K transform and its modulus at once
+        state = rand_pure(np.random.default_rng(5), 40)
+        k = 1024
+        tracemalloc.start()
+        try:
+            joint_local_phase_density(state, grid_size=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * k * 8 + (state.cutoff + 1) * k * 16
+
     def test_peak_memory_is_the_transform_and_its_modulus(self):
         # the complex transform (2 real K x K grids) and its modulus (1 grid);
         # the clipped grid the density keeps is made after the transform is
@@ -515,6 +553,40 @@ class TestSampling:
                 full[i].phis, np.concatenate([head[i].phis, tail[i].phis])
             )
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: split_fock_state(4, 0.3, 0.5), id="pure"),
+        pytest.param(lambda: flat_mixture(poissonian_distribution(2.0)), id="mixture"),
+    ])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_shot_blocks_keep_the_stream(self, monkeypatch, make, extra):
+        # one block more or less than a whole number of blocks, away from shot 0: the stream
+        # equals one draw for every shot and batches cut inside a block
+        state = make()
+        shots, start = phase_povm.SHOT_BLOCK + extra, 1000
+        blocked = sample_local_phases(state, shots, seed=5, start_shot=start)
+        cut = 777
+        head = sample_local_phases(state, cut, seed=5, start_shot=start)
+        tail = sample_local_phases(state, shots - cut, seed=5, start_shot=start + cut)
+        monkeypatch.setattr(phase_povm, "SHOT_BLOCK", 1 << 40)
+        whole = sample_local_phases(state, shots, seed=5, start_shot=start)
+        for i in (0, 1):
+            assert blocked[i].phis.tobytes() == whole[i].phis.tobytes()
+            joined_phis = np.concatenate([head[i].phis, tail[i].phis])
+            assert blocked[i].phis.tobytes() == joined_phis.tobytes()
+
+    def test_peak_memory_per_shot(self):
+        # two angles and an index a shot, the row groups and the sample sets' copies; the
+        # uniforms are drawn a block at a time, not 32 bytes a shot at once
+        shots = 400_000
+        state = number_phase_state(3, 0.0)
+        tracemalloc.start()
+        try:
+            sample_local_phases(state, shots, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * shots
+
     def test_angles_live_in_principal_interval(self, rng):
         state = rand_pure(rng, 6)
         s1, s2 = sample_local_phases(state, 2000, seed=3)
@@ -544,6 +616,36 @@ class TestSampling:
             sample_local_phases(state, 0, seed=1)
         with pytest.raises(ValueError, match="non-negative"):
             sample_local_phases(state, 5, seed=-1)
+
+    @pytest.mark.parametrize("arg,value,message", [
+        pytest.param("shots", 2.0, "shots ", id="shots=2.0"),
+        pytest.param("shots", True, "shots ", id="shots=True"),
+        pytest.param("seed", 1.5, r"--seed 1\.5: ", id="seed=1.5"),
+        pytest.param("seed", True, "--seed True: ", id="seed=True"),
+        pytest.param("start_shot", 1.5, "start_shot ", id="start_shot=1.5"),
+        pytest.param("start_shot", True, "start_shot ", id="start_shot=True"),
+        pytest.param("start_shot", 2**300, "start_shot ", id="start_shot=2**300"),
+        # 5 shots run one past the counter range
+        pytest.param("start_shot", 2**256 - 4, "start_shot ", id="start_shot=2**256-4"),
+    ])
+    def test_stream_arguments_must_be_integers_in_range(self, arg, value, message):
+        args = {"shots": 5, "seed": 1, "start_shot": 0, arg: value}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            sample_local_phases(number_phase_state(1, 0.0), **args)
+
+    def test_stream_arguments_reach_the_ends_of_their_ranges(self):
+        state = number_phase_state(1, 0.0)
+        last = sample_local_phases(state, 5, seed=2**128 - 1, start_shot=2**256 - 5)
+        assert last[0].start_shot == 2**256 - 5
+        a = sample_local_phases(state, 5, seed=np.uint64(7), start_shot=np.int64(3))
+        b = sample_local_phases(state, 5, seed=7, start_shot=3)
+        assert a[0].phis.tobytes() == b[0].phis.tobytes()
+
+    def test_refuse_large_arrays_covers_a_padded_transform(self, refuse_large_arrays):
+        with pytest.raises(AssertionError, match=r"fft\[3, 8388608\]"):
+            np.fft.fft(np.ones((3, 2)), n=1 << 23, axis=1)
+        with pytest.raises(AssertionError, match=r"fft\[16777217\]"):
+            np.fft.fft(np.ones(2), n=(1 << 24) + 1)
 
     def test_refuse_large_arrays_covers_the_shot_uniforms(self, refuse_large_arrays):
         with pytest.raises(AssertionError, match=r"random\[8388608, 4\]"):
