@@ -143,6 +143,20 @@ class TestPhaseDensity:
         d = PhaseDensity(vals)
         assert d.values.min() == 0.0
 
+    def test_copies_a_writable_array_and_keeps_a_read_only_one(self):
+        vals = np.full(64, 1 / (2 * math.pi))
+        copied = PhaseDensity(vals)
+        vals[0] = 5.0
+        assert copied.values[0] == 1 / (2 * math.pi) and not copied.values.flags.writeable
+        vals[0] = 1 / (2 * math.pi)
+        vals.flags.writeable = False
+        assert PhaseDensity(vals).values is vals
+        clipped = vals.copy()
+        clipped[1] += clipped[0] + 5e-15
+        clipped[0] = -5e-15
+        clipped.flags.writeable = False
+        assert PhaseDensity(clipped).values.min() == 0.0  # a read-only array is clipped too
+
     def test_rejects_genuinely_negative_values(self):
         k = 64
         vals = np.full(k, 1 / (2 * math.pi))
