@@ -93,13 +93,15 @@ class _GridDensity:
     def _adopt(self, values: np.ndarray, what: str) -> None:
         """Keep ``values`` clipped of float-level negatives, read-only; refuse larger ones.
 
-        An array that is already read-only and has no negative value is kept
-        as it is, not copied (a -0.0 in it stays -0.0, which clipping makes +0.0).
+        An array that owns its data, is already read-only and has no negative
+        value is kept as it is, not copied (a -0.0 in it stays -0.0, which
+        clipping makes +0.0). A read-only view is copied: its base may be written.
         """
         low = float(values.min())
         if low < NEGATIVE_CLIP_TOL:
             raise ValueError(f"{what} has negative values below {NEGATIVE_CLIP_TOL}")
-        if values.flags.writeable or not low >= 0.0:  # NaN-safe: NaN is clipped as before
+        # NaN-safe: NaN is clipped as before
+        if values.flags.writeable or not values.flags.owndata or not low >= 0.0:
             values = np.clip(values, 0.0, None)  # a new array, owned here
             values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -279,11 +281,10 @@ def joint_local_phase_density(
     del signed
     values = np.empty((k, k))
     width = max(1, DENSITY_BLOCK_CELLS // k)
-    block = np.empty((k, min(width, k)), dtype=np.complex128)
     for lo in range(0, k, width):
         hi = min(k, lo + width)
-        cols = np.fft.fft(rows[:, lo:hi], n=k, axis=0, out=block[:, : hi - lo])
-        out = np.abs(cols, out=values[:, lo:hi])
+        # no out= for the transform: numpy.fft takes one from 2.0 on
+        out = np.abs(np.fft.fft(rows[:, lo:hi], n=k, axis=0), out=values[:, lo:hi])
         out **= 2
         out /= TWO_PI**2
     values.flags.writeable = False  # adopted as it is: no clipped copy

@@ -151,6 +151,12 @@ class TestPhaseDensity:
         vals[0] = 1 / (2 * math.pi)
         vals.flags.writeable = False
         assert PhaseDensity(vals).values is vals
+        base = np.full(64, 1 / (2 * math.pi))
+        view = base[:]
+        view.flags.writeable = False
+        kept = PhaseDensity(view)
+        base[0] = 5.0  # a read-only view over a writable base is copied
+        assert kept.values is not view and kept.values[0] == 1 / (2 * math.pi)
         clipped = vals.copy()
         clipped[1] += clipped[0] + 5e-15
         clipped[0] = -5e-15
@@ -482,7 +488,6 @@ class TestJointDensity:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * k * k * 8
-
 
     def test_grid_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays):
         with pytest.raises(TruncationError, match="K=1000000.* needs 16,000,000,000,000 bytes"):
