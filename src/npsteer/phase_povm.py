@@ -39,6 +39,11 @@ DEFAULT_BOOTSTRAP_RESAMPLES = 200
 # process-wide interval is lowered only while that work runs beside a helper,
 # and restored as soon as it ends.
 DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
+# A bootstrap worker gathers and sums its resample one node of numpy's pairwise-sum
+# tree at a time (see _pairwise_sum), in a buffer of this many complex values (2 MB).
+# Each node costs two GIL hand-offs beside the CSV writer, so the nodes are few: 8
+# a resample at 10^6 shots. It must be at least 64, the node numpy sums unsplit.
+BOOTSTRAP_LEAF = 1 << 17
 CSV_CHUNK_ROWS = 1 << 8  # rows formatted per write
 OVERLAP_SWITCH_INTERVAL = 1e-4  # seconds
 MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time
@@ -359,11 +364,18 @@ def _cells_to_angles(phis: np.ndarray, spacing: float, idx: np.ndarray, frac: np
 
 
 def _groups(labels: np.ndarray):
-    """(label, indices of that label) for each distinct label, in increasing label order."""
+    """(label, indices of that label) for each distinct label, in increasing label order.
+
+    Each group is a slice of one stable argsort of the labels (the indices in
+    increasing order), cut at the running sums of the label counts. Besides
+    the sort (8 bytes a shot) only the counts are held: ``np.bincount``'s
+    intp copy of int32 labels is freed before the sort is made.
+    """
+    counts = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    for group in np.split(order, cuts):
-        yield int(labels[group[0]]), group
+    ends = np.cumsum(counts)
+    for label in np.flatnonzero(counts):
+        yield int(label), order[ends[label] - counts[label] : ends[label]]
 
 
 def _sample_pure(state: PureTwoModeState, grid_size, seed, start_shot, shots):
@@ -377,7 +389,8 @@ def _sample_pure(state: PureTwoModeState, grid_size, seed, start_shot, shots):
     )
     row_cdf = _padded_cdf(row_mass)
     # phi2 holds each shot's second uniform until its row's group turns it into an angle.
-    idx1 = np.empty(shots, dtype=np.intp)
+    # A row index fits int32: the array limit keeps K at most 8192.
+    idx1 = np.empty(shots, dtype=np.int32)
     phi1, phi2 = np.empty(shots), np.empty(shots)
     for lo, u in _shot_blocks(seed, start_shot, shots):
         hi = lo + len(u)
@@ -438,8 +451,8 @@ def sample_local_phases(
         raise ValueError("start_shot must be a non-negative integer")
     if int(start_shot) + int(shots) > 1 << 256:  # the counter range of the Philox stream
         raise ValueError(f"start_shot {start_shot} + shots {shots} must be at most 2**256")
-    # Two angles and a cell or sector index a shot, under the bound of four doubles a shot;
-    # the uniforms are drawn SHOT_BLOCK shots at a time.
+    # Two angles and a 4-byte cell or sector index a shot, under the bound of four doubles
+    # a shot; the uniforms are drawn SHOT_BLOCK shots at a time.
     require_array_bytes(32 * shots, f"--shots {shots}: the per-shot arrays of {shots:,} shots")
     if grid_size is not None:
         grid_size = _validate_grid(grid_size, state.cutoff, floor=MIN_SAMPLING_GRID)
@@ -450,9 +463,10 @@ def sample_local_phases(
         phi1, phi2 = _sample_pure(state, k, seed, start_shot, shots)
     else:
         # phi1 and phi2 hold each shot's second and third uniforms until its sector's
-        # group turns them into angles.
+        # group turns them into angles. A sector index fits int32: a mixture holds
+        # at most 11,584 sectors under the array limit.
         weight_cdf = _padded_cdf(state.weights())
-        sector_idx = np.empty(shots, dtype=np.intp)
+        sector_idx = np.empty(shots, dtype=np.int32)
         phi1, phi2 = np.empty(shots), np.empty(shots)
         for lo, u in _shot_blocks(seed, start_shot, shots):
             hi = lo + len(u)
@@ -536,22 +550,48 @@ class _Team:
             raise errors[0]
 
 
+def _pairwise_sum(n: int, leaf_sum: Callable[[int, int], np.complex128], lo: int = 0):
+    """``np.add.reduce`` of n complex values, from ``leaf_sum(lo, hi)`` of its tree's nodes.
+
+    numpy sums n complex values, 2n doubles, as a tree: a node of m doubles
+    splits at m//2 - (m//2) % 8 doubles, down to nodes of at most 128 doubles,
+    each summed in eight accumulators. Split the same way down to nodes of at
+    most BOOTSTRAP_LEAF values (all of which numpy splits the same way), each
+    summed by ``leaf_sum`` with ``np.add.reduce``, and add the halves in tree
+    order: the sum has the bits of one ``np.add.reduce`` of all n values.
+    """
+    if n <= BOOTSTRAP_LEAF:
+        return leaf_sum(lo, lo + n)
+    half = (n - n % 8) // 2
+    return _pairwise_sum(half, leaf_sum, lo) + _pairwise_sum(n - half, leaf_sum, lo + half)
+
+
 def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, alongside):
     """The resampled dispersions, in draw order, with ``alongside()`` run on the calling thread.
 
     Each resample's indices are drawn under one lock, in resample order, from
     ``rng``, and its value is stored at its draw index, so the values are the
-    same whichever thread gathers them. The draws, the gather and the mean
-    release the GIL, so a helper thread resamples while ``alongside()`` (the
-    CSV writer) runs, then the calling thread joins in.
+    same whichever thread gathers them. A worker holds its n draw indices and
+    gathers and sums them one leaf of ``_pairwise_sum`` at a time in a buffer
+    of BOOTSTRAP_LEAF values; the mean is that sum over n, as ``np.mean``
+    divides it, so each value has the bits of the mean of a full gather. The
+    draws, the gathers and the sums release the GIL, so a helper thread
+    resamples while ``alongside()`` (the CSV writer) runs, then the calling
+    thread joins in.
     """
     n = len(z)
     vals = np.empty(resamples)
     team = _Team(_helper_count())
     next_draw = 0
 
-    def work(idx: np.ndarray, buf: np.ndarray) -> None:
+    def work(idx: np.ndarray, leaf: np.ndarray) -> None:
         nonlocal next_draw
+
+        def leaf_sum(lo: int, hi: int) -> np.complex128:
+            buf = leaf[: hi - lo]
+            np.take(z, idx[lo:hi], out=buf, mode="clip")  # indices are in range: clip changes nothing
+            return np.add.reduce(buf)
+
         while True:
             with team.turn:
                 i = next_draw
@@ -561,11 +601,11 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
                 for lo in range(0, n, DRAW_CHUNK):
                     hi = min(n, lo + DRAW_CHUNK)
                     idx[lo:hi] = rng.integers(0, n, hi - lo)
-            np.take(z, idx, out=buf, mode="clip")  # indices are in range: clip changes nothing
-            vals[i] = 1.0 - abs(complex(buf.mean())) ** 2
+            mean = _pairwise_sum(n, leaf_sum) / np.intp(n)
+            vals[i] = 1.0 - abs(complex(mean)) ** 2
 
     def buffers():
-        return np.empty(n, dtype=np.intp), np.empty(n, dtype=z.dtype)
+        return np.empty(n, dtype=np.intp), np.empty(min(n, BOOTSTRAP_LEAF), dtype=z.dtype)
 
     team.run(work, buffers, alongside)
     return vals
@@ -588,27 +628,36 @@ def estimate_relative_dispersion(
     unless an explicit seed is given. ``alongside``, if given, is called once
     on the calling thread while the bootstrap resamples on a helper thread
     (when more than one CPU is available); the result does not depend on it.
+    ``resamples`` and ``seed`` are checked, and used, by the bootstrap alone.
     """
     if samples1.shots != samples2.shots:
         raise ValueError("sample sets must have equal shot counts")
     n = samples1.shots
     if n < 2:
         raise ValueError("need at least 2 shots to estimate a dispersion")
-    # The phase factors, and each bootstrap worker's gather buffer beside its
-    # 8-byte draw indices, hold one complex number a shot.
-    require_array_bytes(16 * n, f"{n:,} shots: the phase factors and each bootstrap gather buffer")
-    z = np.exp(1j * (samples1.phis - samples2.phis))
+    if method not in ("bootstrap", "jackknife"):
+        raise ValueError(f"method {method!r} is unknown; use 'bootstrap' or 'jackknife'")
+    if method == "bootstrap":
+        if not (_is_integer(resamples) and resamples >= 2):
+            raise ValueError(f"resamples {resamples!r}: the bootstrap needs an integer >= 2")
+        if not (seed is None or (_is_integer(seed) and seed >= 0)):
+            raise ValueError(f"seed {seed!r}: the bootstrap seed must be None or an integer >= 0")
+    # The phase factors hold one complex number a shot; a bootstrap worker's draw
+    # indices take 8 bytes a shot, and its gather buffer one leaf.
+    require_array_bytes(16 * n, f"{n:,} shots: the phase factors")
+    z = np.empty(n, dtype=complex)
+    for lo in range(0, n, SHOT_BLOCK):  # no shot-long temporaries
+        hi = min(n, lo + SHOT_BLOCK)
+        np.exp(1j * (samples1.phis[lo:hi] - samples2.phis[lo:hi]), out=z[lo:hi])
     d2_hat = 1.0 - abs(complex(z.mean())) ** 2
     if method == "bootstrap":
-        if resamples < 2:
-            raise ValueError("bootstrap needs at least 2 resamples")
         if seed is None:
             ss = np.random.SeedSequence((samples1.seed, samples2.seed, n, 0xD157))
         else:
             ss = np.random.SeedSequence(seed)
         rng = np.random.Generator(np.random.PCG64(ss))
         err = float(_bootstrap_values(z, rng, resamples, alongside).std(ddof=1))
-    elif method == "jackknife":
+    else:  # the jackknife
         if alongside is not None:
             alongside()
         total = complex(z.sum())
@@ -616,8 +665,6 @@ def estimate_relative_dispersion(
         d2_loo = 1.0 - np.abs(loo) ** 2
         err = math.sqrt((n - 1) / n * float(np.sum((d2_loo - d2_loo.mean()) ** 2)))
         resamples = 0
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'bootstrap' or 'jackknife'")
     return DispersionEstimate(float(d2_hat), err, n, method, resamples)
 
 

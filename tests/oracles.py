@@ -303,12 +303,26 @@ def oracle_trim_tails(numbers: np.ndarray, raw: np.ndarray, tail_tol: float):
     return kept, masses / masses.sum(), kept_fraction
 
 
+def oracle_bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
+    """The resampled dispersions of phase factors ``z``, as one full gather a resample forms them.
+
+    One ``rng.integers(0, n, n)`` draw per resample, all its values gathered
+    at once and averaged by ``np.mean``.
+    """
+    n = len(z)
+    vals = np.empty(resamples)
+    for i in range(resamples):
+        idx = rng.integers(0, n, n)
+        vals[i] = 1.0 - abs(complex(z[idx].mean())) ** 2
+    return vals
+
+
 def oracle_bootstrap_std(samples1, samples2, resamples: int, seed: int | None = None) -> float:
     """Bootstrap standard error of the dispersion estimate, one resample after another.
 
     The serial loop the estimator ran before its resamples moved to a helper
-    thread: the same PCG64 stream, seeded the same way, one
-    ``rng.integers(0, n, n)`` draw per resample.
+    thread: the same PCG64 stream, seeded the same way, one full gather per
+    resample (``oracle_bootstrap_values``).
     """
     n = samples1.shots
     z = np.exp(1j * (samples1.phis - samples2.phis))
@@ -317,11 +331,14 @@ def oracle_bootstrap_std(samples1, samples2, resamples: int, seed: int | None = 
     else:
         ss = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(ss))
-    vals = np.empty(resamples)
-    for i in range(resamples):
-        idx = rng.integers(0, n, n)
-        vals[i] = 1.0 - abs(complex(z[idx].mean())) ** 2
-    return float(vals.std(ddof=1))
+    return float(oracle_bootstrap_values(z, rng, resamples).std(ddof=1))
+
+
+def oracle_groups(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(label, indices of that label) for each distinct label, cut where the sorted labels change."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [(int(labels[group[0]]), group) for group in np.split(order, cuts)]
 
 
 def oracle_samples_csv(samples1, samples2) -> str:

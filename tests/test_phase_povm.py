@@ -47,7 +47,9 @@ from oracles import (
     flat_mixture,
     joined,
     oracle_bootstrap_std,
+    oracle_bootstrap_values,
     oracle_density_loop,
+    oracle_groups,
     oracle_joint_density,
     oracle_joint_values,
     oracle_relative_density,
@@ -464,7 +466,9 @@ class TestJointDensity:
 
     def test_peak_memory_is_one_grid_and_the_row_transform(self):
         # the K x K float grid, the (cutoff + 1) x K complex row transform and one column
-        # block: the fft2 recipe held a complex K x K transform and its modulus at once
+        # block. The fft2 recipe held a complex K x K transform and its modulus at once
+        # (3 grids), and any further K x K temporary, a clipped copy of the grid among
+        # them, would add one more: each breaks this bound.
         state = rand_pure(np.random.default_rng(5), 40)
         k = 1024
         tracemalloc.start()
@@ -474,20 +478,6 @@ class TestJointDensity:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * k * k * 8 + (state.cutoff + 1) * k * 16
-
-    def test_peak_memory_is_the_transform_and_its_modulus(self):
-        # the complex transform (2 real K x K grids) and its modulus (1 grid);
-        # the clipped grid the density keeps is made after the transform is
-        # freed, and every further K x K temporary would add a grid
-        state = rand_pure(np.random.default_rng(5), 40)
-        k = 1024
-        tracemalloc.start()
-        try:
-            joint_local_phase_density(state, grid_size=k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * k * k * 8
 
     def test_grid_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays):
         with pytest.raises(TruncationError, match="K=1000000.* needs 16,000,000,000,000 bytes"):
@@ -606,6 +596,38 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 60 * shots
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp])
+    @pytest.mark.parametrize("labels", [
+        pytest.param([3, 0, 3, 7, 0, 0, 9, 3], id="gaps"),
+        pytest.param([5] * 6, id="one label"),
+        pytest.param([0], id="one shot"),
+        pytest.param(np.random.default_rng(4).integers(0, 50, 3001) * 3, id="random with gaps"),
+    ])
+    def test_groups_equal_the_sort_diff_split_recipe(self, labels, dtype):
+        labels = np.asarray(labels, dtype=dtype)
+        got = list(phase_povm._groups(labels))
+        want = oracle_groups(labels)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_groups_hold_the_sort_and_the_counts(self):
+        # the stable sort (8 bytes a shot) and the label counts: no sorted copy of the
+        # labels and no difference of it beside the sort, as the sort-diff-split recipe held
+        shots, labels = 1_000_000, 4096
+        cells = np.random.default_rng(6).integers(0, labels, shots).astype(np.int32)
+        seen = grouped = 0
+        tracemalloc.start()
+        try:
+            for _, group in phase_povm._groups(cells):
+                seen, grouped = seen + 1, grouped + len(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (seen, grouped) == (labels, shots)
+        # the counts, their running sums and the labels present: 8 bytes a label each
+        assert peak < 8 * shots + 3 * 8 * labels + (1 << 16)
+
     def test_angles_live_in_principal_interval(self, rng):
         state = rand_pure(rng, 6)
         s1, s2 = sample_local_phases(state, 2000, seed=3)
@@ -715,6 +737,58 @@ class TestEstimator:
         with pytest.raises(ValueError, match="method"):
             estimate_relative_dispersion(s, s, method="parametric")
 
+    @pytest.mark.parametrize("args,message", [
+        pytest.param({"method": "parametric"}, "method 'parametric' ", id="method"),
+        pytest.param({"method": None}, "method None ", id="method=None"),
+        pytest.param({"resamples": 1}, "resamples 1: ", id="resamples=1"),
+        pytest.param({"resamples": 2.5}, r"resamples 2\.5: ", id="resamples=2.5"),
+        pytest.param({"resamples": 200.0}, r"resamples 200\.0: ", id="resamples=200.0"),
+        pytest.param({"resamples": True}, "resamples True: ", id="resamples=True"),
+        pytest.param({"seed": -1}, "seed -1: ", id="seed=-1"),
+        pytest.param({"seed": 1.5}, r"seed 1\.5: ", id="seed=1.5"),
+        pytest.param({"seed": (1, 2)}, r"seed \(1, 2\): ", id="seed=tuple"),
+    ])
+    def test_bad_argument_is_named_before_the_phase_factors(self, args, message):
+        # at 2e5 shots the phase factors alone take 3.2 MB
+        shots = 200_000
+        s = SampleSet(np.zeros(shots), shots=shots, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                estimate_relative_dispersion(s, s, **args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < shots
+
+    def test_jackknife_takes_no_resamples_or_seed(self):
+        s1, s2 = sample_local_phases(number_phase_state(2, 0.0), 50, seed=3)
+        est = estimate_relative_dispersion(s1, s2, method="jackknife", resamples=0, seed=-1)
+        assert est == estimate_relative_dispersion(s1, s2, method="jackknife")
+
+    def test_bootstrap_takes_numpy_integers(self):
+        s1, s2 = sample_local_phases(number_phase_state(2, 0.0), 50, seed=3)
+        a = estimate_relative_dispersion(s1, s2, resamples=np.int64(30), seed=np.uint32(4))
+        assert a == estimate_relative_dispersion(s1, s2, resamples=30, seed=4)
+
+    def test_peak_memory_is_the_phase_factors_and_two_workers_indices(self, monkeypatch):
+        # the phase factors (16 bytes a shot), formed a block at a time, and per worker
+        # its draw indices (8 bytes a shot) and one leaf; one index draw and the
+        # block temporaries pass through. A gather buffer a shot per worker, or the
+        # phase factors formed in one piece, each break the bound.
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
+        shots = 600_000
+        s1, s2 = sample_local_phases(number_phase_state(3, 0.0), shots, seed=9)
+        tracemalloc.start()
+        try:
+            estimate_relative_dispersion(s1, s2, resamples=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        leaf = 16 * phase_povm.BOOTSTRAP_LEAF
+        slack = 8 * phase_povm.DRAW_CHUNK + (1 << 20)
+        assert peak < 16 * shots + 2 * (8 * shots + leaf) + slack
+
     def test_small_sample_bias_is_minus_d2_over_shots(self):
         # uniform relative phase: plug-in estimate averages to 1 - 1/n
         vac = number_phase_state(0, 0.0)
@@ -793,6 +867,23 @@ class TestThreadedBootstrap:
             assert est.std_error == oracle_bootstrap_std(s1, s2, 37, seed)
             assert est.resamples == 37
         assert calls == [1, 1]
+
+    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("alongside", [None, lambda: time.sleep(0.01)],
+                             ids=["nothing alongside", "alongside"])
+    @pytest.mark.parametrize("shots,leaf", [
+        pytest.param(2 * (1 << 17) + 5, None, id="two leaves and more"),
+        pytest.param(5003, 64, id="smallest leaf"),
+    ])
+    def test_values_equal_the_full_gather_oracle(self, monkeypatch, helpers, alongside, shots,
+                                                 leaf):
+        monkeypatch.setattr(phase_povm, "_helper_count", lambda: helpers)
+        if leaf is not None:
+            monkeypatch.setattr(phase_povm, "BOOTSTRAP_LEAF", leaf)
+        z = np.exp(1j * np.random.default_rng(shots).uniform(-math.pi, math.pi, shots))
+        got = phase_povm._bootstrap_values(z, np.random.default_rng(3), 7, alongside)
+        want = oracle_bootstrap_values(z, np.random.default_rng(3), 7)
+        assert got.tobytes() == want.tobytes()
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # Every draw index must be claimed once and stored once: a lost update
@@ -908,6 +999,46 @@ class TestThreadedBootstrap:
         path = tmp_path / "samples.csv"
         write_samples_csv(path, s1, s2)
         assert path.read_text() == oracle_samples_csv(s1, s2)
+
+
+# Sizes for the pairwise-sum leaves: every n up to 300, each side of the default leaf
+# cap and of powers of two, and the sample benchmark's 10^6 shots.
+PAIRWISE_SIZES = sorted({
+    *range(1, 301),
+    *(phase_povm.BOOTSTRAP_LEAF + d for d in (-1, 0, 1)),
+    *((1 << k) + d for k in range(9, 21) for d in (-1, 1)),
+    999_999,
+    1_000_000,
+})
+
+
+class TestPairwiseSum:
+    """The leaf-by-leaf sum of a resample has the bits of one sum of its full gather.
+
+    It relies on numpy's pairwise-sum tree; a numpy whose tree differs fails here.
+    """
+
+    @pytest.mark.parametrize("leaf", [None, 64, 100])
+    def test_sum_and_mean_equal_the_full_gather(self, monkeypatch, leaf):
+        if leaf is not None:
+            monkeypatch.setattr(phase_povm, "BOOTSTRAP_LEAF", leaf)
+        rng = np.random.default_rng(2024)
+        sizes = PAIRWISE_SIZES if leaf is None else [n for n in PAIRWISE_SIZES if n < 5000]
+        for n in sizes:
+            z = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+            gathered = z[rng.integers(0, n, n)]
+            total = phase_povm._pairwise_sum(n, lambda lo, hi: np.add.reduce(gathered[lo:hi]))
+            assert total.tobytes() == np.add.reduce(gathered).tobytes(), n
+            # np.mean divides its sum by an intp count, as the bootstrap does
+            assert (total / np.intp(n)).tobytes() == np.mean(gathered).tobytes(), n
+
+    def test_leaves_are_at_most_the_cap_and_cover_every_shot(self):
+        leaves = []
+        phase_povm._pairwise_sum(1_000_000, lambda lo, hi: leaves.append((lo, hi)) or 0j)
+        assert leaves[0][0] == 0 and leaves[-1][1] == 1_000_000
+        assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+        assert max(hi - lo for lo, hi in leaves) <= phase_povm.BOOTSTRAP_LEAF
+        assert len(leaves) == 8
 
 
 @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(0, 8))
