@@ -40,10 +40,11 @@ DEFAULT_BOOTSTRAP_RESAMPLES = 200
 # and restored as soon as it ends.
 DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
 # A bootstrap worker gathers and sums its resample one node of numpy's pairwise-sum
-# tree at a time (see _pairwise_sum), in a buffer of this many complex values (2 MB).
-# Each node costs two GIL hand-offs beside the CSV writer, so the nodes are few: 8
-# a resample at 10^6 shots. It must be at least 64, the node numpy sums unsplit.
-BOOTSTRAP_LEAF = 1 << 17
+# tree at a time (see _pairwise_sum), in a buffer of this many complex values (4 MB).
+# Each node costs two GIL hand-offs beside the CSV writer, so the nodes are few: 4
+# a resample at 10^6 shots (2^17 values, 8 nodes, was slower in paired runs). It
+# must be at least 64, the node numpy sums unsplit.
+BOOTSTRAP_LEAF = 1 << 18
 CSV_CHUNK_ROWS = 1 << 8  # rows formatted per write
 OVERLAP_SWITCH_INTERVAL = 1e-4  # seconds
 MASS_ROW_BLOCK = 64  # joint-density rows turned into cell masses at a time

@@ -872,7 +872,7 @@ class TestThreadedBootstrap:
     @pytest.mark.parametrize("alongside", [None, lambda: time.sleep(0.01)],
                              ids=["nothing alongside", "alongside"])
     @pytest.mark.parametrize("shots,leaf", [
-        pytest.param(2 * (1 << 17) + 5, None, id="two leaves and more"),
+        pytest.param(2 * phase_povm.BOOTSTRAP_LEAF + 5, None, id="two leaves and more"),
         pytest.param(5003, 64, id="smallest leaf"),
     ])
     def test_values_equal_the_full_gather_oracle(self, monkeypatch, helpers, alongside, shots,
@@ -1038,7 +1038,7 @@ class TestPairwiseSum:
         assert leaves[0][0] == 0 and leaves[-1][1] == 1_000_000
         assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
         assert max(hi - lo for lo, hi in leaves) <= phase_povm.BOOTSTRAP_LEAF
-        assert len(leaves) == 8
+        assert len(leaves) == 4
 
 
 @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(0, 8))
