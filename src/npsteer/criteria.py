@@ -2,16 +2,18 @@
 
 Every check is reported as a :class:`CriterionVerdict` carrying the raw
 left-hand side, the bound it is compared against, the signed margin
-``bound - lhs``, and the boolean verdict. Product criteria (NP_*, NAIVE_*,
-SM_UR) are violated when the left-hand side falls *below* the bound;
-moment criteria (HZ_*) are violated when it rises *above*. A fixed
-tolerance, DEFAULT_TOL, keeps states sitting exactly on a boundary from
-flapping.
+``bound - lhs``, and the boolean verdict. One function, ``_verdict``, builds
+them all and decides the verdict from the margin alone: product criteria
+(NP_*, NAIVE_*, SM_UR) are violated when the left-hand side falls *below*
+the bound by more than a slack (margin > slack); moment criteria (HZ_*)
+when it rises *above* it by more (-margin > slack). Exact verdicts take the
+fixed slack DEFAULT_TOL, which keeps states sitting exactly on a boundary
+from flapping; sampled NP_* verdicts take z propagated standard errors.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,22 +61,21 @@ class CriterionVerdict:
         return out
 
 
-def _below_bound(cid, lhs, bound, advisory=None) -> CriterionVerdict:
-    """Verdict for criteria of the form lhs >= bound (violated below)."""
-    violated = bool(lhs < bound - DEFAULT_TOL)
-    return CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated, advisory)
+def _verdict(cid, lhs, bound, above=False, slack=None, advisory=None) -> CriterionVerdict:
+    """Verdict of lhs against bound: violated once lhs has passed the bound, below it
+    (or above it, if ``above``), by more than ``slack`` (default DEFAULT_TOL)."""
+    margin = float(bound - lhs)
+    slack = DEFAULT_TOL if slack is None else slack
+    violated = bool((-margin if above else margin) > slack)
+    return CriterionVerdict(cid, float(lhs), float(bound), margin, violated, advisory)
 
 
-def _above_bound(cid, lhs, bound) -> CriterionVerdict:
-    """Verdict for criteria of the form lhs <= bound (violated above)."""
-    violated = bool(lhs > bound + DEFAULT_TOL)
-    return CriterionVerdict(cid, float(lhs), float(bound), float(bound - lhs), violated)
-
-
-def _product(cid: str, n_var: float, d2: float) -> CriterionVerdict:
-    """Verdict of product criterion ``cid``: (n_var + s) * d2 >= s, s its shift."""
+def _product(cid: str, n_var: float, d2: float, d2_slack=None, advisory=None) -> CriterionVerdict:
+    """Verdict of product criterion ``cid``: (n_var + s) * d2 >= s, s its shift. A slack
+    ``d2_slack`` on the dispersion is one of (n_var + s) * d2_slack on the product."""
     s = PRODUCT_CRITERIA[cid][0]
-    return _below_bound(cid, (n_var + s) * d2, s)
+    slack = None if d2_slack is None else (n_var + s) * d2_slack
+    return _verdict(cid, (n_var + s) * d2, s, slack=slack, advisory=advisory)
 
 
 def np_entanglement(report: ObservableReport) -> CriterionVerdict:
@@ -106,8 +107,8 @@ def naive_criteria(report: ObservableReport, density: PhaseDensity) -> NaiveVerd
     applicable = report.d2_rel <= NAIVE_DISPERSION_LIMIT
     advisory = None if applicable else _NAIVE_ADVISORY.format(limit=NAIVE_DISPERSION_LIMIT)
     return NaiveVerdicts(
-        _below_bound("NAIVE_ENT", lhs, 2.0, advisory),
-        _below_bound("NAIVE_STEER", lhs, 1.0, advisory),
+        _verdict("NAIVE_ENT", lhs, 2.0, advisory=advisory),
+        _verdict("NAIVE_STEER", lhs, 1.0, advisory=advisory),
         applicable,
     )
 
@@ -128,9 +129,9 @@ def hz_criteria(report: ObservableReport) -> HZVerdicts:
     """
     lhs = abs(report.hz_adagb) ** 2
     return HZVerdicts(
-        _above_bound("HZ_ENT", lhs, report.hz_nanb),
-        _above_bound("HZ_STEER_A_BY_B", lhs, report.hz_nanb + 0.5 * report.hz_na),
-        _above_bound("HZ_STEER_B_BY_A", lhs, report.hz_nanb + 0.5 * report.hz_nb),
+        _verdict("HZ_ENT", lhs, report.hz_nanb, above=True),
+        _verdict("HZ_STEER_A_BY_B", lhs, report.hz_nanb + 0.5 * report.hz_na, above=True),
+        _verdict("HZ_STEER_B_BY_A", lhs, report.hz_nanb + 0.5 * report.hz_nb, above=True),
     )
 
 
@@ -161,15 +162,10 @@ def sampled_np_verdicts(
         raise ValueError("standard error must be non-negative")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots!r}")
-    claim_se = max(d2_se, shots**-0.5)
+    d2_slack = z * max(d2_se, shots**-0.5)
     advisory = f"sampled: violation requires clearing the bound by {z} standard errors"
-
-    def claimed(cid: str) -> CriterionVerdict:
-        v = _product(cid, n_var, d2_hat)
-        se = (n_var + v.bound) * claim_se
-        return replace(v, violated=bool(v.lhs + z * se < v.bound), advisory=advisory)
-
-    return SampledVerdicts(claimed("NP_ENT"), claimed("NP_STEER"))
+    return SampledVerdicts(*(_product(cid, n_var, d2_hat, d2_slack, advisory)
+                             for cid in ("NP_ENT", "NP_STEER")))
 
 
 @dataclass(frozen=True)
