@@ -7,8 +7,9 @@ them all and decides the verdict from the margin alone: product criteria
 (NP_*, NAIVE_*, SM_UR) are violated when the left-hand side falls *below*
 the bound by more than a slack (margin > slack); moment criteria (HZ_*)
 when it rises *above* it by more (-margin > slack). Exact verdicts take the
-fixed slack DEFAULT_TOL, which keeps states sitting exactly on a boundary
-from flapping; sampled NP_* verdicts take z propagated standard errors.
+slack DEFAULT_TOL * max(1, |lhs|, |bound|), so that a state sitting exactly
+on a boundary is not decided by rounding at any scale; sampled NP_*
+verdicts take z propagated standard errors.
 """
 from __future__ import annotations
 
@@ -63,9 +64,12 @@ class CriterionVerdict:
 
 def _verdict(cid, lhs, bound, above=False, slack=None, advisory=None) -> CriterionVerdict:
     """Verdict of lhs against bound: violated once lhs has passed the bound, below it
-    (or above it, if ``above``), by more than ``slack`` (default DEFAULT_TOL)."""
+    (or above it, if ``above``), by more than ``slack``. The default slack is DEFAULT_TOL
+    relative to the larger of |lhs| and |bound|, and absolute below 1: the rounding of
+    moments that grow as <N>^2 must not decide a verdict."""
     margin = float(bound - lhs)
-    slack = DEFAULT_TOL if slack is None else slack
+    if slack is None:
+        slack = DEFAULT_TOL * max(1.0, abs(lhs), abs(bound))
     violated = bool((-margin if above else margin) > slack)
     return CriterionVerdict(cid, float(lhs), float(bound), margin, violated, advisory)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import warnings
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npsteer import (
+    ObservableReport,
     PureTwoModeState,
     all_verdicts,
     boundary_curves,
@@ -18,8 +21,18 @@ from npsteer import (
     split_fock_state,
     two_mode_squeezed_state,
 )
-from npsteer.criteria import CriterionVerdict, hz_criteria, naive_criteria, sampled_np_verdicts
+from npsteer.criteria import (
+    DEFAULT_TOL,
+    PRODUCT_CRITERIA,
+    CriterionVerdict,
+    _verdict,
+    hz_criteria,
+    naive_criteria,
+    sampled_np_verdicts,
+)
 from npsteer.fock import gaussian_distribution, thermal_distribution
+from npsteer.phase_povm import linear_phase_variance
+from npsteer.statespec import parse_state_spec
 
 from oracles import flat_mixture, oracle_moments, rand_mixture, rand_product, rand_pure
 
@@ -199,6 +212,137 @@ class TestSampledVerdicts:
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             sampled_np_verdicts(0.0, 0.5, -0.1, 10**6)
+
+
+class TestVerdictRule:
+    # (lhs, bound) whose margin is 0.5 on the criterion's side, and exactly one ulp beyond
+    SIDES = {
+        False: ((0.25, 0.75), (0.25, np.nextafter(0.75, 1.0))),
+        True: ((0.75, 0.25), (np.nextafter(0.75, 1.0), 0.25)),
+    }
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_margin_equal_to_the_slack_is_not_violated_and_one_ulp_beyond_is(self, above):
+        side = -1.0 if above else 1.0
+        (lhs, bound), (lhs_beyond, bound_beyond) = self.SIDES[above]
+        at = _verdict("X", lhs, bound, above=above, slack=0.5)
+        beyond = _verdict("X", lhs_beyond, bound_beyond, above=above, slack=0.5)
+        assert side * at.margin == 0.5 and not at.violated
+        assert side * beyond.margin == np.nextafter(0.5, 1.0) and beyond.violated
+        assert _verdict("X", lhs, bound, above=above, slack=np.nextafter(0.5, 0.0)).violated
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_default_slack_is_the_tolerance_up_to_unit_scale(self, above):
+        def margin_of(m):
+            return _verdict("X", *((m, 0.0) if above else (0.0, m)), above=above)
+
+        assert not margin_of(DEFAULT_TOL).violated
+        assert margin_of(np.nextafter(DEFAULT_TOL, 1.0)).violated
+        assert not margin_of(-1.0).violated  # the far side of the bound
+
+    def test_default_slack_scales_with_the_larger_of_lhs_and_bound(self):
+        # two ulps of 65536 past the bound are rounding; 2e-12 of it is not
+        rounded = np.nextafter(np.nextafter(65536.0, np.inf), np.inf)
+        assert not _verdict("HZ_ENT", rounded, 65536.0, above=True).violated
+        assert not _verdict("NP_ENT", 65536.0, rounded).violated
+        assert _verdict("HZ_ENT", 65536.0 * (1 + 2e-12), 65536.0, above=True).violated
+        assert _verdict("NP_ENT", 65536.0, 65536.0 * (1 + 2e-12)).violated
+
+
+def _decided_by_margin(v: CriterionVerdict, slack: float) -> bool:
+    """The verdict equals the rule on its printed margin: past the bound, on the criterion's
+    side (above for HZ_*, below for the rest), by more than ``slack``."""
+    side = -1.0 if v.criterion_id.startswith("HZ_") else 1.0
+    return v.margin == float(v.bound - v.lhs) and v.violated == (side * v.margin > slack)
+
+
+def _exact_slack(v: CriterionVerdict) -> float:
+    return DEFAULT_TOL * max(1.0, abs(v.lhs), abs(v.bound))
+
+
+def _near(rng: np.random.Generator, value: float) -> float:
+    """``value`` moved either way by a relative 1e-16 to 1e-9, or left as it is."""
+    return value * (1.0 + rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-16, -9))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_every_verdict_is_decided_by_its_margin(seed):
+    # reports that sit on one product bound and one HZ bound up to rounding, at scales
+    # from 1e-3 to 1e6, so that a rule written apart from the margin would show
+    rng = np.random.default_rng(seed)
+    density = relative_phase_density(number_phase_state(int(rng.integers(0, 6)), 0.3))
+    lin_var = linear_phase_variance(density)
+    kind = int(rng.integers(0, 3))
+    if kind < 2:  # NP_ENT or NP_STEER on its bound
+        n_var = rng.uniform(0.0, 4.0)
+        s = PRODUCT_CRITERIA[("NP_ENT", "NP_STEER")[kind]][0]
+        d2 = _near(rng, s / (n_var + s))
+    else:  # NAIVE_ENT or NAIVE_STEER on its bound
+        n_var = _near(rng, rng.choice([2.0, 1.0]) - lin_var)
+        d2 = rng.uniform(0.0, 1.0)
+    scale = 10.0 ** rng.uniform(-3, 6)
+    na, nb = rng.uniform(0.0, scale, 2)
+    hz_bound = scale + 0.5 * (0.0, na, nb)[int(rng.integers(0, 3))]
+    adagb = math.sqrt(_near(rng, hz_bound)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    report = ObservableReport(**{
+        **dict.fromkeys((f.name for f in dataclasses.fields(ObservableReport)), 0.0),
+        "n_var": n_var, "d2_rel": d2, "hz_adagb": complex(adagb), "hz_nanb": scale,
+        "hz_na": na, "hz_nb": nb,
+    })
+    for v in all_verdicts(report, density):
+        assert _decided_by_margin(v, _exact_slack(v)), v
+
+    ur_var = rng.uniform(0.0, 4.0)
+    ur = single_mode_ur_check(ur_var, _near(rng, 0.25 / (ur_var + 0.25)))
+    assert _decided_by_margin(ur, _exact_slack(ur)), ur
+
+    se, shots, z = 10.0 ** rng.uniform(-4, -1), int(rng.integers(1, 10**7)), rng.uniform(0.5, 6)
+    for v in sampled_np_verdicts(n_var, _near(rng, d2), se, shots, z):
+        s = PRODUCT_CRITERIA[v.criterion_id][0]
+        assert _decided_by_margin(v, (n_var + s) * (z * max(se, shots**-0.5))), v
+
+
+def _coherent(nbar: float, phase: float, cutoff: int) -> np.ndarray:
+    """Amplitudes on 0..cutoff of the coherent state of mean ``nbar`` and phase ``phase``."""
+    n = np.arange(cutoff + 1)
+    log_mag = 0.5 * (n * math.log(nbar) - nbar) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+    return np.exp(log_mag + 1j * phase * n)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+@pytest.mark.parametrize("nbar", [64, 128, 200, 256, 300, 400])
+def test_product_coherent_grids_are_never_flagged(nbar, phase):
+    # separable at any cutoff, and on HZ_ENT's bound: lhs = bound = nbar^2 up to rounding,
+    # a few ulps of 65536 at nbar = 256. Three cutoffs past the Poisson tail.
+    for k in (8, 10, 12):
+        cutoff = int(nbar + k * math.sqrt(nbar)) + 10
+        amps = np.outer(_coherent(nbar, 0.0, cutoff), _coherent(nbar, phase, cutoff))
+        verdicts = all_verdicts(observable_report(PureTwoModeState.normalized(amps)))
+        assert [v.criterion_id for v in verdicts if v.violated] == [], cutoff
+
+
+# Phase-averaged coherent light split on a beam splitter: a mixture of product coherent
+# states, separable at every point of this 100-point grid. HZ_ENT's margin is
+# t(1-t)(Δ²N - <N>), zero for the state the spec names.
+SPLIT_POISSON_MEANS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 10.0, 30.0, 100.0, 1000.0)
+SPLIT_TRANSMISSIVITIES = tuple(round(0.05 + 0.1 * i, 2) for i in range(10))
+# Means at which trimming the Poisson tails leaves the state sub-Poissonian by more than the
+# rounding slack at some transmissivity: truncation, not rounding, decides HZ_ENT there.
+TRUNCATION_DECIDED_MEANS = (0.5, 1.5, 2.0, 3.0, 4.0, 30.0)
+
+
+@pytest.mark.parametrize(
+    "mean", [m for m in SPLIT_POISSON_MEANS if m not in TRUNCATION_DECIDED_MEANS]
+)
+def test_split_poissonian_mixtures_are_never_flagged(mean):
+    for t in SPLIT_TRANSMISSIVITIES:
+        spec = {"family": "mixture", "base": "split_fock", "transmissivity": t,
+                "noise": {"kind": "poissonian", "mean": mean}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = observable_report(parse_state_spec(json.dumps(spec)).build())
+        assert [v.criterion_id for v in all_verdicts(report) if v.violated] == [], t
 
 
 class TestBoundaryCurves:
