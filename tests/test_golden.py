@@ -25,6 +25,12 @@ Its two ``mean`` sweeps, the last ``bytes`` entries, were recorded before a nois
 point reused the sectors of the point before it: a split_fock base whose supports cross
 N = 300, where its kernel moves from exact binomials to log-factorials, and a poissonian
 mixture whose support shifts and widens.
+
+The ``eval`` entry of the poissonian(50) split_fock mixture was recorded again when the
+exact verdicts' slack came to scale with the larger of |lhs| and |bound|. That state is
+separable. Its HZ_ENT margin, -1.0e-10 against lhs = bound = 625, comes from rounding and
+the trimmed Poisson tails, and the old entry pinned it as VIOLATED. The HZ_ENT line now
+reads not violated, and every number keeps its bytes.
 """
 import hashlib
 import json
