@@ -662,9 +662,13 @@ def estimate_relative_dispersion(
         if alongside is not None:
             alongside()
         total = complex(z.sum())
-        loo = (total - z) / (n - 1)
-        d2_loo = 1.0 - np.abs(loo) ** 2
-        err = math.sqrt((n - 1) / n * float(np.sum((d2_loo - d2_loo.mean()) ** 2)))
+        d2_loo = np.empty(n)  # the leave-one-out dispersions, then their squared deviations
+        for lo in range(0, n, SHOT_BLOCK):
+            hi = min(n, lo + SHOT_BLOCK)
+            d2_loo[lo:hi] = 1.0 - np.abs((total - z[lo:hi]) / (n - 1)) ** 2
+        d2_loo -= d2_loo.mean()
+        d2_loo **= 2
+        err = math.sqrt((n - 1) / n * float(np.sum(d2_loo)))
         resamples = 0
     return DispersionEstimate(float(d2_hat), err, n, method, resamples)
 
@@ -689,12 +693,14 @@ def linear_phase_variance(density: PhaseDensity) -> float:
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns as CSV rows, each cell the repr of its Python value.
 
-    Rows are formatted a chunk at a time, so no column becomes one long list.
+    Rows are formatted a chunk at a time, so no column becomes one long list. A column
+    may be an array or a ``range``.
     """
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            cells = [map(repr, col[lo : lo + CSV_CHUNK_ROWS].tolist()) for col in columns]
+            cells = [map(repr, np.asarray(col[lo : lo + CSV_CHUNK_ROWS]).tolist())
+                     for col in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -703,5 +709,5 @@ def write_samples_csv(path, samples1: SampleSet, samples2: SampleSet) -> None:
     if samples1.shots != samples2.shots or samples1.start_shot != samples2.start_shot:
         raise ValueError("sample sets must be aligned")
     start = samples1.start_shot
-    shot_index = np.arange(start, start + samples1.shots)
+    shot_index = range(start, start + samples1.shots)  # formed a chunk at a time
     _write_csv(path, "shot_index,phi1,phi2", (shot_index, samples1.phis, samples2.phis))

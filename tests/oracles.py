@@ -334,6 +334,20 @@ def oracle_bootstrap_std(samples1, samples2, resamples: int, seed: int | None = 
     return float(oracle_bootstrap_values(z, rng, resamples).std(ddof=1))
 
 
+def oracle_jackknife_std(samples1, samples2) -> float:
+    """Jackknife standard error of the dispersion estimate, each step one whole-array expression.
+
+    The recipe the estimator ran before it formed the leave-one-out dispersions a
+    block at a time: the leave-one-out means, their moduli and the deviations each
+    a shot long.
+    """
+    n = samples1.shots
+    z = np.exp(1j * (samples1.phis - samples2.phis))
+    loo = (complex(z.sum()) - z) / (n - 1)
+    d2_loo = 1.0 - np.abs(loo) ** 2
+    return math.sqrt((n - 1) / n * float(np.sum((d2_loo - d2_loo.mean()) ** 2)))
+
+
 def oracle_groups(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """(label, indices of that label) for each distinct label, cut where the sorted labels change."""
     order = np.argsort(labels, kind="stable")

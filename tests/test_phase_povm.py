@@ -50,6 +50,7 @@ from oracles import (
     oracle_bootstrap_values,
     oracle_density_loop,
     oracle_groups,
+    oracle_jackknife_std,
     oracle_joint_density,
     oracle_joint_values,
     oracle_relative_density,
@@ -801,6 +802,31 @@ class TestEstimator:
         assert np.mean(values) == pytest.approx(1.0 - 1.0 / n, abs=5e-3)
 
 
+    @pytest.mark.parametrize("block", [None, 1 << 10])
+    @pytest.mark.parametrize("shots", [2, 3, 1001, 2 * phase_povm.SHOT_BLOCK + 77])
+    def test_jackknife_keeps_the_whole_array_bits(self, monkeypatch, shots, block):
+        s1, s2 = sample_local_phases(number_phase_state(3, 0.4), shots, seed=12)
+        if block is not None:
+            monkeypatch.setattr(phase_povm, "SHOT_BLOCK", block)
+        est = estimate_relative_dispersion(s1, s2, method="jackknife")
+        assert est.std_error > 0
+        assert np.float64(est.std_error).tobytes() == np.float64(oracle_jackknife_std(s1, s2)).tobytes()
+
+    def test_jackknife_peak_memory_is_the_phase_factors_and_one_float_array(self):
+        # the phase factors (16 bytes a shot) and the leave-one-out dispersions (8),
+        # squared in place; only block temporaries pass through. The whole-array recipe
+        # held the leave-one-out means, their moduli and the deviations besides.
+        shots = 600_000
+        s1, s2 = sample_local_phases(number_phase_state(3, 0.0), shots, seed=9)
+        tracemalloc.start()
+        try:
+            estimate_relative_dispersion(s1, s2, method="jackknife")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * shots + 4 * 16 * phase_povm.SHOT_BLOCK
+
+
 class TestCsvWriters:
     def test_samples_csv_layout(self, tmp_path):
         state = number_phase_state(2, 0.0)
@@ -822,6 +848,22 @@ class TestCsvWriters:
         write_samples_csv(path, s1, s2)
         lines = path.read_text().splitlines()
         assert lines[1].split(",")[0] == "10"
+
+    def test_samples_csv_writer_peaks_at_a_chunk(self, tmp_path):
+        # the shot index is formed a chunk at a time, as the angle cells are: no column
+        # of 8 bytes a shot beside the sample sets
+        shots = 100_000
+        phis = np.random.default_rng(8).uniform(-math.pi, math.pi, (2, shots))
+        s1, s2 = (SampleSet(p, shots=shots, seed=1, start_shot=10**9) for p in phis)
+        path = tmp_path / "samples.csv"
+        tracemalloc.start()
+        try:
+            write_samples_csv(path, s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text().splitlines()[-1].startswith(f"{10**9 + shots - 1},")
+        assert peak < 400 * phase_povm.CSV_CHUNK_ROWS
 
     def test_density_csv_roundtrip(self, tmp_path):
         density = relative_phase_density(number_phase_state(3, 0.2))
