@@ -27,7 +27,7 @@ from .criteria import (
     CURVE_IDS, UR_MIN, UR_MIN_D2, CriterionVerdict, all_verdicts, boundary_curves,
     sampled_np_verdicts,
 )
-from .fock import MAX_ARRAY_BYTES, ArraySizeError, State, TruncationError
+from .fock import DEFAULT_TAIL_TOL, MAX_ARRAY_BYTES, ArraySizeError, State, TruncationError
 from .observables import ObservableReport, number_moments, observable_report
 from .phase_povm import (
     estimate_relative_dispersion,
@@ -363,7 +363,8 @@ _FLAGS = {
     "--seed": dict(type=int, default=DEFAULT_SEED, help=f"sampling seed (default {DEFAULT_SEED})"),
     "--grid": dict(type=int, default=None, help="phase-grid size K (default: automatic per state)"),
     "--tail-tol": dict(type=float, default=None,
-                       help="truncation tail tolerance (default 1e-10; spec file wins)"),
+                       help=f"truncation tail tolerance (default {DEFAULT_TAIL_TOL}; "
+                            "spec file wins)"),
     "--sweep": dict(default=None,
                     help=f"range var:lo:hi:step (sweep: {'|'.join(SWEEP_KEYS)}; curves: d2)"),
     "--z": dict(type=float, default=DEFAULT_Z,
