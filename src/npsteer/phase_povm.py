@@ -699,8 +699,8 @@ def _write_csv(path, header: str, columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            cells = [map(repr, np.asarray(col[lo : lo + CSV_CHUNK_ROWS]).tolist())
-                     for col in columns]
+            chunks = (col[lo : lo + CSV_CHUNK_ROWS] for col in columns)
+            cells = [map(repr, c if isinstance(c, range) else c.tolist()) for c in chunks]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
