@@ -2,14 +2,13 @@
 
 Every check is reported as a :class:`CriterionVerdict` carrying the raw
 left-hand side, the bound it is compared against, the signed margin
-``bound - lhs``, and the boolean verdict. One function, ``_verdict``, builds
-them all and decides the verdict from the margin alone: product criteria
-(NP_*, NAIVE_*, SM_UR) are violated when the left-hand side falls *below*
-the bound by more than a slack (margin > slack); moment criteria (HZ_*)
-when it rises *above* it by more (-margin > slack). Exact verdicts take the
-slack DEFAULT_TOL * max(1, |lhs|, |bound|), so that a state sitting exactly
-on a boundary is not decided by rounding at any scale; sampled NP_*
-verdicts take z propagated standard errors.
+``bound - lhs``, and the boolean verdict, which ``_verdict`` decides from the
+margin alone: product criteria (NP_*, NAIVE_*, SM_UR) are violated when the
+left-hand side falls *below* the bound by more than a slack (margin > slack),
+moment criteria (HZ_*) when it rises *above* it by more (-margin > slack).
+Exact verdicts take the slack DEFAULT_TOL * max(1, |lhs|, |bound|), so that no
+state on a boundary is decided by rounding at any scale; sampled NP_* verdicts
+take z propagated standard errors.
 """
 from __future__ import annotations
 
@@ -63,10 +62,9 @@ class CriterionVerdict:
 
 
 def _verdict(cid, lhs, bound, above=False, slack=None, advisory=None) -> CriterionVerdict:
-    """Verdict of lhs against bound: violated once lhs has passed the bound, below it
-    (or above it, if ``above``), by more than ``slack``. The default slack is DEFAULT_TOL
-    relative to the larger of |lhs| and |bound|, and absolute below 1: the rounding of
-    moments that grow as <N>^2 must not decide a verdict."""
+    """Verdict of lhs against bound: violated once lhs has passed the bound, below it (or
+    above it, if ``above``), by more than ``slack``, by default DEFAULT_TOL relative to
+    max(1, |lhs|, |bound|), since HZ moments, and their rounding, grow as <N>^2."""
     margin = float(bound - lhs)
     if slack is None:
         slack = DEFAULT_TOL * max(1.0, abs(lhs), abs(bound))
