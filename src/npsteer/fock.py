@@ -93,15 +93,19 @@ class SectorView(NamedTuple):
     """A state's total-number sectors as one flat, ragged layout.
 
     Sector s holds ``amps[starts[s]:starts[s + 1]]``, its amplitudes on
-    |m>|N - m> for N = ``totals[s]`` and consecutive m from ``first_m[s]``,
-    times the root of its weight (1 if pure). Sectors without amplitude are
-    left out; N increases from sector to sector.
+    |m>|N - m> for N = ``totals[s]`` and consecutive m from ``first_m[s]``.
+    A pure state's view has no ``roots``. A mixture's view reads its
+    unit-norm sector states in place and holds ``roots[s]``, the root of
+    sector s's weight: the state's amplitudes are ``amps`` times their roots
+    (see ``scaled``). Sectors without amplitude or weight are left out (for
+    a mixture, in a copy of the others); N increases from sector to sector.
     """
 
     amps: np.ndarray
     starts: np.ndarray
     totals: np.ndarray
     first_m: np.ndarray
+    roots: np.ndarray | None = None
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupations (m, n) of modes 1 and 2 at every entry, as new float arrays."""
@@ -112,28 +116,33 @@ class SectorView(NamedTuple):
         n -= m
         return m, n
 
-    def neighbor_products(self) -> np.ndarray:
-        """conj(amps[i]) * amps[i + 1]: entries m and m + 1 of one sector, 0 across sectors."""
-        pairs = np.conj(self.amps[:-1])
-        pairs *= self.amps[1:]
-        pairs[self.starts[1:-1] - 1] = 0.0
-        return pairs
+    def scaled(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """``amps[lo:hi]``, each entry times its sector's root, formed in ``out[:hi - lo]``
+        as the product fl(a * root); without roots, the slice of ``amps`` itself."""
+        if self.roots is None:
+            return self.amps[lo:hi]
+        first = int(np.searchsorted(self.starts, lo, side="right")) - 1
+        last = int(np.searchsorted(self.starts, hi))
+        counts = np.diff(np.clip(self.starts[first : last + 1], lo, hi))
+        return np.multiply(self.amps[lo:hi], np.repeat(self.roots[first:last], counts),
+                           out=out[: hi - lo])
 
 
 def _weighted_view(
     amps: np.ndarray, starts: np.ndarray, totals: np.ndarray, weights: np.ndarray
 ) -> SectorView:
-    """View of sectors stored flat from m = 0, each scaled by the root of its weight.
+    """View of sectors stored flat from m = 0, with the roots of their weights.
 
-    Sectors of zero weight or without amplitude are left out.
+    It reads ``amps`` in place. Only when a sector of zero weight or without
+    amplitude has to be left out are the kept sectors copied.
     """
-    counts = np.diff(starts)
-    scaled = amps * np.repeat(np.sqrt(weights), counts)
+    counts, roots = np.diff(starts), np.sqrt(weights)
     kept = (weights > 0.0) & np.logical_or.reduceat(amps != 0, starts[:-1])
     if not kept.all():
-        scaled, counts = scaled[np.repeat(kept, counts)], counts[kept]
+        amps, counts, roots = amps[np.repeat(kept, counts)], counts[kept], roots[kept]
+        amps.flags.writeable = False
         starts = np.concatenate(([0], np.cumsum(counts)))
-    return SectorView(scaled, starts, totals[kept], np.zeros(len(counts), dtype=np.int64))
+    return SectorView(amps, starts, totals[kept], np.zeros(len(counts), dtype=np.int64), roots)
 
 
 def _check_norm(norm: float) -> None:
@@ -258,7 +267,8 @@ class PureTwoModeState:
     def sector_view(self) -> SectorView:
         k = self._cutoff + 1
         if self._sector is not None:
-            return _weighted_view(self._sector, np.array([0, k]), np.array([k - 1]), np.ones(1))
+            first_m = np.zeros(1, dtype=np.int64)
+            return SectorView(self._sector, np.array([0, k]), np.array([k - 1]), first_m)
         if self._diagonal is not None:
             # c[m, m] is entry m - first_m of sector 2m, the only nonzero one there
             m = np.flatnonzero(self._diagonal)

@@ -1,7 +1,9 @@
 """Number and phase observables on two-mode states.
 
 Moments that conserve the total number are sums within sectors over the
-state's ``sector_view``, one code path for grid states and mixtures.
+state's ``sector_view``, one code path for grid states and mixtures; a
+mixture's view holds unit-norm sectors and their roots, and those products
+are formed a block at a time.
 Operators that change the total number couple sectors; only a pure state
 spread over several sectors has such coherence, and those moments are
 shift-sums over its coefficient grid, which the state takes itself
@@ -18,6 +20,8 @@ import numpy as np
 from .fock import PureTwoModeState, State
 
 EDGE_MASS_TOL = 1e-8
+# A mixture's amplitudes are scaled by their roots this many entries at a time (256 KB).
+VIEW_BLOCK = 1 << 14
 
 
 class TruncationBiasWarning(UserWarning):
@@ -66,9 +70,16 @@ def _weighted_sum(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> float:
 def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
     """Number moments, E1 E2†, cross-mode moments and edge mass, in one pass over the view:
     |amps|^2, the levels and the neighbor products are formed once, the other temporaries
-    updated in place, and each sum keeps the arithmetic of a pass of its own."""
+    updated in place, and each sum keeps the arithmetic of a pass of its own. A mixture's
+    amplitudes times their roots are formed VIEW_BLOCK entries at a time in one buffer,
+    into the whole |amps|^2 and neighbor-product arrays that the sums reduce."""
     view = state.sector_view
-    p = np.abs(view.amps)
+    size = len(view.amps)
+    block = np.empty(min(size, VIEW_BLOCK + 2), dtype=np.complex128)
+    p = np.empty(size)
+    for lo in range(0, size, VIEW_BLOCK):
+        hi = min(size, lo + VIEW_BLOCK)
+        np.abs(view.scaled(lo, hi, block), out=p[lo:hi])
     np.square(p, out=p)
     sector_p = np.add.reduceat(p, view.starts[:-1])
     dev = np.empty_like(sector_p)
@@ -86,7 +97,17 @@ def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
     roots *= n[:-1]
     np.sqrt(roots, out=roots)
     del p, m, n
-    pairs = view.neighbor_products()
+    pairs = np.empty(size - 1, dtype=np.complex128)  # conj(a[i]) a[i + 1], 0 across sectors
+    # numpy (2.4, x86-64) multiplies a one-element complex array in its scalar loop, whose
+    # rounding differs from the vector loop's: a last block of one pair joins the one before
+    cuts = [*range(0, size - 1, VIEW_BLOCK), size - 1]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a = view.scaled(lo, hi + 1, block)
+        np.conj(a[:-1], out=pairs[lo:hi])
+        pairs[lo:hi] *= a[1:]
+    pairs[view.starts[1:-1] - 1] = 0.0
     e_rel = complex(np.sum(pairs))
     pairs *= roots
     hz = HZMoments(complex(np.sum(pairs)).conjugate(), nanb, na, nb)

@@ -163,12 +163,18 @@ class JointPhaseDensity(_GridDensity):
 
 
 def _summed_profiles(
-    amps: np.ndarray, starts: np.ndarray, grid_size: int, alongside: Callable | None = None
+    amps: np.ndarray,
+    starts: np.ndarray,
+    grid_size: int,
+    alongside: Callable | None = None,
+    roots: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_s |sum_m a_{s,m} e^{-i m phi}|^2 on the canonical grid, via FFT.
 
-    Sector s holds ``amps[starts[s]:starts[s + 1]]``, m counted from 0. The
-    sectors are transformed a block of rows at a time, one FFT per block,
+    Sector s holds ``amps[starts[s]:starts[s + 1]]``, m counted from 0, times
+    ``roots[s]`` if given: each block's rows are multiplied by their roots as
+    the block is filled, the product fl(a * root) of the scaled amplitudes.
+    The sectors are transformed a block of rows at a time, one FFT per block,
     and their profiles added one by one in sector order, so the sum has the
     bits of a loop that transforms and adds each sector on its own. The block
     is allocated once at width K and transformed at that length, with no
@@ -203,6 +209,8 @@ def _summed_profiles(
         head[...] = 0.0
         # one scatter a block: the mask's cells run in the amplitudes' order
         head[cols < lengths[first : first + r, None]] = amps[starts[first] : starts[first + r]]
+        if roots is not None:
+            head *= roots[first : first + r, None]
         odd = head[:, 1::2]
         np.negative(odd, out=odd)  # (-1)^m moves the grid origin from 0 to -pi
         np.abs(np.fft.fft(pad[:r], axis=1), out=power[:r])
@@ -254,8 +262,8 @@ def relative_phase_density(
     """
     cutoff = state.cutoff
     k = default_grid_size(cutoff) if grid_size is None else _validate_grid(grid_size, cutoff)
-    view = state.sector_view
-    values = _summed_profiles(view.amps, view.starts, k, alongside)  # sized before the grid
+    view = state.sector_view  # the transform block is sized before the grid
+    values = _summed_profiles(view.amps, view.starts, k, alongside, view.roots)
     return PhaseDensity(values / TWO_PI)
 
 
@@ -488,22 +496,37 @@ def _helper_count() -> int:
     return 1 if (cpus or 1) > 1 else 0
 
 
+# The overlaps in progress, on any thread, and the interval the first of them found: they
+# share the process-wide switch interval, so only the first entry lowers it and only the
+# last exit restores it.
+_overlap_lock = threading.Lock()
+_overlaps = 0
+_interval_before = 0.0
+
+
 @contextlib.contextmanager
 def _short_switch_interval():
-    """Hand the GIL over within OVERLAP_SWITCH_INTERVAL; restore the caller's interval after.
+    """Hand the GIL over within OVERLAP_SWITCH_INTERVAL; restore the process's interval after.
 
     Entered only while ``alongside()`` runs beside a helper thread: the CSV
     writer beside the bootstrap, or the observable report beside the
-    relative density. The interval is process-wide: two such overlaps on
-    different threads of one process can restore in the wrong order and
-    leave the short interval in place.
+    relative density. The interval is process-wide, so overlaps on different
+    threads are counted under one lock: the interval stays short until the
+    last of them ends, then the one found before the first is restored.
     """
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(min(interval, OVERLAP_SWITCH_INTERVAL))
+    global _overlaps, _interval_before
+    with _overlap_lock:
+        if _overlaps == 0:
+            _interval_before = sys.getswitchinterval()
+            sys.setswitchinterval(min(_interval_before, OVERLAP_SWITCH_INTERVAL))
+        _overlaps += 1
     try:
         yield
     finally:
-        sys.setswitchinterval(interval)
+        with _overlap_lock:
+            _overlaps -= 1
+            if _overlaps == 0:
+                sys.setswitchinterval(_interval_before)
 
 
 class _Team:

@@ -1,5 +1,7 @@
 import math
 import threading
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -27,6 +29,16 @@ def no_thread_left_alive():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260819)
+
+
+def traced_peak(call: Callable[[], object]) -> int:
+    """Peak of the memory that tracemalloc traces, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 LARGE_ARRAY_ELEMENTS = 1 << 24

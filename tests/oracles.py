@@ -21,7 +21,7 @@ from npsteer import fock
 from npsteer.fock import (
     NORM_TOL, NumberDistribution, SectorView, _tmss_weighted_tail, select_cutoff,
 )
-from npsteer.observables import _clip_unit
+from npsteer.observables import HZMoments, NumberMoments, _clip_unit
 from npsteer.phase_povm import JointPhaseDensity, PhaseDensity, _write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -180,9 +180,69 @@ def oracle_summed_profiles(amps: np.ndarray, starts: np.ndarray, grid_size: int)
 
 
 def oracle_density_loop(state, grid_size: int) -> np.ndarray:
-    """Relative-density values as the per-sector loop made them: one FFT per sector of the view."""
-    view = state.sector_view
+    """Relative-density values as the per-sector loop made them: one FFT per sector of the
+    scaled view (``oracle_scaled_view``)."""
+    view = oracle_scaled_view(state)
     return oracle_summed_profiles(view.amps, view.starts, grid_size) / TWO_PI
+
+
+# The sector view as it was before a mixture's view read its amplitudes in place: a new array
+# of the amplitudes, each times the root of its sector's weight; and the view sums over it.
+
+
+def oracle_weighted_view(amps: np.ndarray, starts: np.ndarray, totals: np.ndarray,
+                         weights: np.ndarray) -> SectorView:
+    """View of sectors stored flat from m = 0, each scaled by the root of its weight into one
+    new array; sectors of zero weight or without amplitude are left out."""
+    counts = np.diff(starts)
+    scaled = amps * np.repeat(np.sqrt(weights), counts)
+    kept = (weights > 0.0) & np.logical_or.reduceat(amps != 0, starts[:-1])
+    if not kept.all():
+        scaled, counts = scaled[np.repeat(kept, counts)], counts[kept]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+    return SectorView(scaled, starts, totals[kept], np.zeros(len(counts), dtype=np.int64))
+
+
+def oracle_scaled_view(state) -> SectorView:
+    """The state's scaled sector view: a mixture's and a single sector's made by
+    ``oracle_weighted_view`` (a single sector at weight 1), a grid's or a diagonal's as it is."""
+    if isinstance(state, SectorMixture):
+        return oracle_weighted_view(state.amps, state.starts, state.totals(), state.weights())
+    if state._sector is not None:
+        k = state.cutoff + 1
+        return oracle_weighted_view(state._sector, np.array([0, k]), np.array([k - 1]),
+                                    np.ones(1))
+    return state.sector_view
+
+
+def oracle_view_sums(view: SectorView, cutoff: int):
+    """``observables._view_sums`` over a scaled view, every product formed whole: |amps|^2 in one
+    ``np.abs``, the neighbor products in one conjugate of the view."""
+    def weighted_sum(w, x, out):
+        return float(np.sum(np.multiply(w, x, out=out)))
+
+    p = np.abs(view.amps)
+    np.square(p, out=p)
+    sector_p = np.add.reduceat(p, view.starts[:-1])
+    dev = np.empty_like(sector_p)
+    tot1 = weighted_sum(sector_p, view.totals, dev)
+    np.subtract(view.totals, tot1, out=dev)
+    tot_var = weighted_sum(sector_p, np.square(dev, out=dev), dev)
+    m, n = view.levels()
+    edge_mass = float(np.sum(p[(m == cutoff) | (n == cutoff)]))
+    tmp = np.empty_like(p)
+    na, nb = weighted_sum(p, m, tmp), weighted_sum(p, n, tmp)
+    m_var = weighted_sum(p, np.square(np.subtract(m, na, out=tmp), out=tmp), tmp)
+    n_var = weighted_sum(p, np.square(np.subtract(n, nb, out=tmp), out=tmp), tmp)
+    nanb = weighted_sum(p, np.multiply(m, n, out=tmp), tmp)
+    roots = np.sqrt((m[:-1] + 1.0) * n[:-1])
+    pairs = np.conj(view.amps[:-1])
+    pairs *= view.amps[1:]
+    pairs[view.starts[1:-1] - 1] = 0.0
+    e_rel = complex(np.sum(pairs))
+    pairs *= roots
+    hz = HZMoments(complex(np.sum(pairs)).conjugate(), nanb, na, nb)
+    return NumberMoments(tot1, tot_var, m_var, n_var), e_rel, hz, edge_mass
 
 
 def oracle_joint_values(state: PureTwoModeState, grid_size: int) -> np.ndarray:
@@ -491,3 +551,23 @@ def oracle_tmss_cutoff_scan(r: float, tail_tol: float) -> int:
     while _tmss_weighted_tail(r, cutoff) >= tail_tol:
         cutoff += 1
     return cutoff
+
+
+def raw_sectors(seed: int, totals: list[int]):
+    """Flat sectors from m = 0 for ``totals`` (increasing), as ``fock._weighted_view`` takes them:
+    (amps, starts, totals, weights). Drawn from ``seed``: a sector may have zero weight, no
+    amplitude, or zeros of either sign among its amplitudes; the first is always kept."""
+    rng = np.random.default_rng(seed)
+    totals = np.asarray(totals, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(totals + 1)))
+    amps = rng.normal(size=starts[-1]) + 1j * rng.normal(size=starts[-1])
+    zeros = rng.random(starts[-1]) < 0.2
+    for part in (amps.real, amps.imag):
+        part[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    weights = rng.random(len(totals)) + 0.05
+    kind = rng.integers(0, 3, len(totals))  # 0: kept, 1: zero weight, 2: no amplitude
+    kind[0] = 0
+    amps[~np.repeat(kind != 2, totals + 1)] = 0.0
+    amps[starts[0]] = 0.5 - 0.25j
+    weights[kind == 1] = 0.0
+    return amps, starts, totals, weights / weights.sum()

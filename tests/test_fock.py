@@ -2,7 +2,6 @@ import math
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +35,7 @@ from npsteer.fock import (
 )
 from npsteer.phase_povm import joint_local_phase_density
 
+from conftest import traced_peak
 from oracles import (
     GRID_CASES,
     flat_mixture,
@@ -244,13 +244,7 @@ class TestFixedTotalConstructors:
     def test_fixed_total_states_allocate_no_grid(self):
         # the (N+1)^2 grid of N = 2000 alone takes 64 MB
         state = number_phase_state(2000, 0.3)
-        tracemalloc.start()
-        try:
-            observable_report(state)
-            relative_phase_density(state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: (observable_report(state), relative_phase_density(state)))
         assert peak < 8 * 2**20
 
 
@@ -374,7 +368,8 @@ class TestDiagonalSqueezedState:
     def test_sector_view_is_the_gathered_view(self, states):
         state, _, grid = states
         got, want = state.sector_view, oracle_grid_view(grid)
-        for name in type(got)._fields:
+        assert got.roots is None and want.roots is None  # a pure state's view has no roots
+        for name in ("amps", "starts", "totals", "first_m"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -765,12 +760,7 @@ def test_trim_tails_holds_one_running_sum_at_a_time():
     x = np.arange(-100_000, 100_001)
     raw = np.exp(-(x / 5000.0) ** 2 / 2.0)
     numbers = x + 10**6
-    tracemalloc.start()
-    try:
-        fock._trim_tails(numbers, raw, 1e-10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fock._trim_tails(numbers, raw, 1e-10))
     # the N^2-weighted masses and one running sum, then the kept masses
     assert peak < 2.5 * raw.nbytes
 

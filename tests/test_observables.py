@@ -1,6 +1,8 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,19 +29,25 @@ from npsteer.observables import (
 )
 
 from npsteer import fock, observables
+from conftest import traced_peak
 from oracles import (
     GRID_CASES,
     csv_row,
     flat_mixture,
+    joined,
     mixture_sectors,
     oracle_exp_phase_single,
     oracle_grid_moments_in_place,
     oracle_ladder_moments,
     oracle_moments,
+    oracle_scaled_view,
+    oracle_view_sums,
+    oracle_weighted_view,
     rand_mixture,
     rand_product,
     rand_pure,
     rand_single,
+    raw_sectors,
     single_mode_moments,
 )
 
@@ -359,3 +367,76 @@ def test_mixture_dispersion_never_below_best_sector(seed):
         for n, w, amps in mixture_sectors(mix)
     )
     assert e_mix <= weighted + 1e-12
+
+
+# The view sums scale a mixture's amplitudes by their roots a block at a time; the sums over the
+# scaled copy that the view used to hold are the oracle, compared by the repr of every value.
+VIEW_BLOCKS = [2, 3, 7, 16, observables.VIEW_BLOCK]
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       totals=st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True).map(sorted))
+@settings(max_examples=80)
+def test_view_sums_of_raw_sectors_keep_the_scaled_copy_bits(seed, totals):
+    """Zero-weight and all-zero sectors, single entries, signed zeros, and blocks from two
+    entries (sectors split by block edges) to longer than the view."""
+    amps, starts, totals, weights = raw_sectors(seed, totals)
+    view, want = fock._weighted_view(amps, starts, totals, weights), oracle_weighted_view(
+        amps, starts, totals, weights)
+    for name in ("starts", "totals", "first_m"):
+        assert np.array_equal(getattr(view, name), getattr(want, name))
+    size = len(view.amps)
+    assert view.scaled(0, size, np.empty(size, complex)).tobytes() == want.amps.tobytes()
+    state = SimpleNamespace(sector_view=view, cutoff=int(totals[-1]))
+    for block in VIEW_BLOCKS:
+        with mock.patch.object(observables, "VIEW_BLOCK", block):
+            got = observables._view_sums(state)
+        assert repr(got) == repr(oracle_view_sums(want, state.cutoff)), block
+
+
+def _mixture_with_zero_weights():
+    dist = fock.NumberDistribution([0, 2, 5, 9, 40], [0.3, 0.2, 0.0, 0.5, 0.0])
+    amps = {n: rand_single(np.random.default_rng(n), n + 1) for n in (0, 2, 5, 9, 40)}
+    return mixture_from_sector_amplitudes(dist, joined(lambda n: amps[n]))
+
+
+VIEW_STATES = {
+    "zero-weight mixture": _mixture_with_zero_weights,
+    "random mixture": lambda: rand_mixture(np.random.default_rng(3), max_total=60, n_sectors=12),
+    "gaussian(400, 40) mixture": lambda: flat_mixture(gaussian_distribution(400.0, 40.0)),
+    "split_fock poissonian mixture": lambda: flat_mixture(
+        poissonian_distribution(30.0), "split_fock", -0.4, 0.3),
+    "number_phase n=7": lambda: number_phase_state(7, -1.1),
+    "split_fock n=301": lambda: split_fock_state(301, -0.2, 0.3),
+    "tmss r=0.5 (diagonal)": lambda: two_mode_squeezed_state(0.5),
+    "tmss r=2 (diagonal)": lambda: two_mode_squeezed_state(2.0),
+    **{f"grid {case}": GRID_CASES[case] for case in ("random-D2", "random-D37")},
+}
+
+
+@pytest.mark.parametrize("block", [5, observables.VIEW_BLOCK])
+@pytest.mark.parametrize("case", VIEW_STATES)
+def test_view_sums_keep_the_scaled_copy_bits(case, block, monkeypatch):
+    """Mixtures and pure states of each kind: fixed-total, diagonal and grid."""
+    state = VIEW_STATES[case]()
+    monkeypatch.setattr(observables, "VIEW_BLOCK", block)
+    got = observables._view_sums(state)
+    assert repr(got) == repr(oracle_view_sums(oracle_scaled_view(state), state.cutoff))
+
+
+def test_mixture_view_reads_its_amplitudes_in_place():
+    mix = flat_mixture(gaussian_distribution(400.0, 40.0))
+    view = mix.sector_view
+    assert np.shares_memory(view.amps, mix.amps) and view.starts is mix.starts
+    assert view.roots.tobytes() == np.sqrt(mix.weights()).tobytes()
+    dropped = _mixture_with_zero_weights().sector_view  # a copy of the kept sectors alone
+    assert dropped.totals.tolist() == [0, 2, 9] and not dropped.amps.flags.writeable
+
+
+def test_mixture_report_holds_no_scaled_copy():
+    # |amps|^2, the two levels and one float temporary (32 bytes an entry) and the block
+    # buffer; the scaled copy of the amplitudes (16 bytes an entry) breaks the bound
+    mix = flat_mixture(gaussian_distribution(400.0, 40.0))
+    size = len(mix.amps)
+    peak = traced_peak(lambda: observable_report(mix))
+    assert peak < 32 * size + 2 * 16 * observables.VIEW_BLOCK + (1 << 18)

@@ -3,7 +3,7 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +42,7 @@ from npsteer.phase_povm import (
 )
 
 from npsteer import cli, fock, phase_povm
+from conftest import traced_peak
 from oracles import (
     GRID_CASES,
     flat_mixture,
@@ -56,9 +57,11 @@ from oracles import (
     oracle_relative_density,
     oracle_samples_csv,
     oracle_summed_profiles,
+    oracle_weighted_view,
     rand_mixture,
     rand_pure,
     rand_single,
+    raw_sectors,
     relative_marginal_from_joint,
     write_density_csv,
 )
@@ -262,6 +265,20 @@ class TestSummedProfiles:
         amps[rng.random(starts[-1]) < 0.2] = 0.0
         got = phase_povm._summed_profiles(amps, starts, grid_size)
         assert got.tobytes() == oracle_summed_profiles(amps, starts, grid_size).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           totals=st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True).map(sorted))
+    @settings(max_examples=40)
+    def test_roots_applied_in_the_pad_keep_the_bits_of_the_scaled_copy(self, seed, totals):
+        # zero-weight and all-zero sectors, single entries and signed zeros, in blocks of
+        # four rows (shared with a helper on more than one CPU) and in one block
+        amps, starts, totals, weights = raw_sectors(seed, totals)
+        view = fock._weighted_view(amps, starts, totals, weights)
+        want = oracle_weighted_view(amps, starts, totals, weights)
+        for cells in (4 * 64, phase_povm.DENSITY_BLOCK_CELLS):
+            with mock.patch.object(phase_povm, "DENSITY_BLOCK_CELLS", cells):
+                got = phase_povm._summed_profiles(view.amps, view.starts, 64, roots=view.roots)
+            assert got.tobytes() == oracle_summed_profiles(want.amps, want.starts, 64).tobytes()
 
     @pytest.mark.parametrize("helpers", [0, 1, 4])
     @pytest.mark.parametrize("case", ["below", "at", "above"])
@@ -472,12 +489,7 @@ class TestJointDensity:
         # them, would add one more: each breaks this bound.
         state = rand_pure(np.random.default_rng(5), 40)
         k = 1024
-        tracemalloc.start()
-        try:
-            joint_local_phase_density(state, grid_size=k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: joint_local_phase_density(state, grid_size=k))
         assert peak < 1.5 * k * k * 8 + (state.cutoff + 1) * k * 16
 
     def test_grid_over_the_array_limit_raises_before_allocating(self, refuse_large_arrays):
@@ -589,12 +601,7 @@ class TestSampling:
         # uniforms are drawn a block at a time, not 32 bytes a shot at once
         shots = 400_000
         state = number_phase_state(3, 0.0)
-        tracemalloc.start()
-        try:
-            sample_local_phases(state, shots, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sample_local_phases(state, shots, seed=3))
         assert peak < 60 * shots
 
     @pytest.mark.parametrize("dtype", [np.int32, np.intp])
@@ -618,13 +625,13 @@ class TestSampling:
         shots, labels = 1_000_000, 4096
         cells = np.random.default_rng(6).integers(0, labels, shots).astype(np.int32)
         seen = grouped = 0
-        tracemalloc.start()
-        try:
+
+        def group_all():
+            nonlocal seen, grouped
             for _, group in phase_povm._groups(cells):
                 seen, grouped = seen + 1, grouped + len(group)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(group_all)
         assert (seen, grouped) == (labels, shots)
         # the counts, their running sums and the labels present: 8 bytes a label each
         assert peak < 8 * shots + 3 * 8 * labels + (1 << 16)
@@ -753,13 +760,12 @@ class TestEstimator:
         # at 2e5 shots the phase factors alone take 3.2 MB
         shots = 200_000
         s = SampleSet(np.zeros(shots), shots=shots, seed=0)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match=f"^{message}"):
                 estimate_relative_dispersion(s, s, **args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(refused)
         assert peak < shots
 
     def test_jackknife_takes_no_resamples_or_seed(self):
@@ -780,12 +786,7 @@ class TestEstimator:
         monkeypatch.setattr(phase_povm, "_helper_count", lambda: 1)
         shots = 600_000
         s1, s2 = sample_local_phases(number_phase_state(3, 0.0), shots, seed=9)
-        tracemalloc.start()
-        try:
-            estimate_relative_dispersion(s1, s2, resamples=6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: estimate_relative_dispersion(s1, s2, resamples=6))
         leaf = 16 * phase_povm.BOOTSTRAP_LEAF
         slack = 8 * phase_povm.DRAW_CHUNK + (1 << 20)
         assert peak < 16 * shots + 2 * (8 * shots + leaf) + slack
@@ -818,12 +819,7 @@ class TestEstimator:
         # held the leave-one-out means, their moduli and the deviations besides.
         shots = 600_000
         s1, s2 = sample_local_phases(number_phase_state(3, 0.0), shots, seed=9)
-        tracemalloc.start()
-        try:
-            estimate_relative_dispersion(s1, s2, method="jackknife")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: estimate_relative_dispersion(s1, s2, method="jackknife"))
         assert peak < 24 * shots + 4 * 16 * phase_povm.SHOT_BLOCK
 
 
@@ -856,12 +852,7 @@ class TestCsvWriters:
         phis = np.random.default_rng(8).uniform(-math.pi, math.pi, (2, shots))
         s1, s2 = (SampleSet(p, shots=shots, seed=1, start_shot=10**9) for p in phis)
         path = tmp_path / "samples.csv"
-        tracemalloc.start()
-        try:
-            write_samples_csv(path, s1, s2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: write_samples_csv(path, s1, s2))
         assert path.read_text().splitlines()[-1].startswith(f"{10**9 + shots - 1},")
         assert peak < 400 * phase_povm.CSV_CHUNK_ROWS
 
@@ -982,6 +973,66 @@ class TestThreadedBootstrap:
         monkeypatch.setattr(sys, "setswitchinterval", calls.append)
         estimate_relative_dispersion(*odd_samples, method=method, resamples=37, alongside=alongside)
         assert calls == []
+
+    def test_interleaved_overlaps_on_two_threads_restore_the_process_interval(self):
+        # A enters, B enters, A exits, B exits: B's overlap still runs short after A's
+        # exit, and B's exit restores the interval found before A's entry, not A's short one.
+        before = sys.getswitchinterval()
+        assert before > phase_povm.OVERLAP_SWITCH_INTERVAL
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            with phase_povm._short_switch_interval():
+                a_in.set()
+                assert b_in.wait(10.0)
+            a_out.set()
+
+        def second():
+            assert a_in.wait(10.0)
+            with phase_povm._short_switch_interval():
+                b_in.set()
+                assert a_out.wait(10.0)
+                seen["after the first exit"] = sys.getswitchinterval()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        try:
+            for t in threads:
+                t.start()
+        finally:
+            for t in threads:
+                t.join(20.0)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(before)
+        assert seen == {"after the first exit": pytest.approx(phase_povm.OVERLAP_SWITCH_INTERVAL)}
+        assert interval == before
+
+    def test_overlaps_on_more_threads_than_cores_restore_the_process_interval(self):
+        # Every overlap must read the short interval inside, whichever others run, and the
+        # last exit must restore the interval found before the first: a lost update of the
+        # count would restore it early or never.
+        before = sys.getswitchinterval()
+        assert before > phase_povm.OVERLAP_SWITCH_INTERVAL
+        readings = []
+
+        def overlaps():
+            for _ in range(300):
+                with phase_povm._short_switch_interval():
+                    readings.append(sys.getswitchinterval())
+
+        threads = [threading.Thread(target=overlaps) for _ in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+            after = sys.getswitchinterval()
+        finally:
+            sys.setswitchinterval(before)
+        assert not any(t.is_alive() for t in threads)
+        assert len(readings) == 8 * 300
+        assert max(readings) == pytest.approx(phase_povm.OVERLAP_SWITCH_INTERVAL)
+        assert after == before and phase_povm._overlaps == 0
 
     def test_alongside_runs_once_for_the_jackknife(self, odd_samples):
         calls = []
