@@ -116,9 +116,10 @@ class SectorView(NamedTuple):
         n -= m
         return m, n
 
-    def scaled(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    def scaled(self, lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
         """``amps[lo:hi]``, each entry times its sector's root, formed in ``out[:hi - lo]``
-        as the product fl(a * root); without roots, the slice of ``amps`` itself."""
+        as the product fl(a * root); without roots, the slice of ``amps`` itself (``out``
+        may then be None)."""
         if self.roots is None:
             return self.amps[lo:hi]
         first = int(np.searchsorted(self.starts, lo, side="right")) - 1

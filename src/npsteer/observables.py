@@ -75,7 +75,8 @@ def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
     into the whole |amps|^2 and neighbor-product arrays that the sums reduce."""
     view = state.sector_view
     size = len(view.amps)
-    block = np.empty(min(size, VIEW_BLOCK + 2), dtype=np.complex128)
+    # a pure view is read as it is: only a mixture's scaled blocks need the buffer
+    block = None if view.roots is None else np.empty(min(size, VIEW_BLOCK + 2), complex)
     p = np.empty(size)
     for lo in range(0, size, VIEW_BLOCK):
         hi = min(size, lo + VIEW_BLOCK)
