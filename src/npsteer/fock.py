@@ -116,17 +116,15 @@ class SectorView(NamedTuple):
         n -= m
         return m, n
 
-    def scaled(self, lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
-        """``amps[lo:hi]``, each entry times its sector's root, formed in ``out[:hi - lo]``
-        as the product fl(a * root); without roots, the slice of ``amps`` itself (``out``
-        may then be None)."""
+    def scaled(self, lo: int, hi: int) -> np.ndarray:
+        """``amps[lo:hi]``, each entry times its sector's root, as the products fl(a * root)
+        in a new array; without roots, the slice of ``amps`` itself."""
         if self.roots is None:
             return self.amps[lo:hi]
         first = int(np.searchsorted(self.starts, lo, side="right")) - 1
         last = int(np.searchsorted(self.starts, hi))
         counts = np.diff(np.clip(self.starts[first : last + 1], lo, hi))
-        return np.multiply(self.amps[lo:hi], np.repeat(self.roots[first:last], counts),
-                           out=out[: hi - lo])
+        return self.amps[lo:hi] * np.repeat(self.roots[first:last], counts)
 
 
 def _weighted_view(
@@ -160,6 +158,26 @@ def _diagonal_sum(terms: np.ndarray):
     dense = np.zeros((len(terms), len(terms)), dtype=terms.dtype)
     np.fill_diagonal(dense, terms)
     return np.sum(dense)
+
+
+def _pairwise_sum(n: int, leaf_sum: Callable[[int, int], np.ndarray], cap: int, lo: int = 0):
+    """``np.add.reduce`` of n complex values, from ``leaf_sum(lo, hi)`` of its tree's nodes.
+
+    numpy sums n complex values, 2n doubles, as a tree: a node of m doubles
+    splits at m//2 - (m//2) % 8 doubles, down to nodes of at most 128 doubles,
+    each summed in eight accumulators. Split the same way down to nodes of at
+    most ``cap`` values (all of which numpy splits the same way), each summed
+    by ``leaf_sum`` with ``np.add.reduce``, and add the halves in tree order:
+    the sum has the bits of one ``np.add.reduce`` of all n values. A leaf may
+    return an array of such sums, each carried through the same tree.
+    """
+    if cap < 64:
+        raise ValueError(f"leaf cap {cap} is below 64 values, the node numpy sums unsplit")
+    if n <= cap:
+        return leaf_sum(lo, lo + n)
+    half = (n - n % 8) // 2
+    left = _pairwise_sum(half, leaf_sum, cap, lo)
+    return left + _pairwise_sum(n - half, leaf_sum, cap, lo + half)
 
 
 def _anti_diagonals(k: int, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

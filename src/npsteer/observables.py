@@ -2,8 +2,8 @@
 
 Moments that conserve the total number are sums within sectors over the
 state's ``sector_view``, one code path for grid states and mixtures; a
-mixture's view holds unit-norm sectors and their roots, and those products
-are formed a block at a time.
+mixture's view holds unit-norm sectors and their roots, and each scaled
+amplitude is formed once a report, a leaf of the pairwise sum at a time.
 Operators that change the total number couple sectors; only a pure state
 spread over several sectors has such coherence, and those moments are
 shift-sums over its coefficient grid, which the state takes itself
@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import PureTwoModeState, State
+from .fock import PureTwoModeState, State, _pairwise_sum
 
 EDGE_MASS_TOL = 1e-8
-# A mixture's amplitudes are scaled by their roots this many entries at a time (256 KB).
+# The view sums' leaves hold at most this many neighbor pairs (256 KB): each leaf scales
+# a mixture's amplitudes by their roots once, for |amps|^2 and the pairs alike.
 VIEW_BLOCK = 1 << 14
 
 
@@ -68,51 +69,46 @@ def _weighted_sum(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> float:
 
 
 def _view_sums(state: State) -> tuple[NumberMoments, complex, HZMoments, float]:
-    """Number moments, E1 E2†, cross-mode moments and edge mass, in one pass over the view:
-    |amps|^2, the levels and the neighbor products are formed once, the other temporaries
-    updated in place, and each sum keeps the arithmetic of a pass of its own. A mixture's
-    amplitudes times their roots are formed VIEW_BLOCK entries at a time in one buffer,
-    into the whole |amps|^2 and neighbor-product arrays that the sums reduce."""
+    """Number moments, E1 E2†, cross-mode moments and edge mass, from one pass over the view.
+
+    The pass walks the leaves of np.sum's pairwise tree over the neighbor products
+    conj(a[i]) a[i + 1], 0 across sectors, at most VIEW_BLOCK pairs a leaf. A leaf forms its
+    amplitudes and the next one once, times their roots for a mixture, writes their moduli
+    into |amps|^2, and sums its products plain and weighted by sqrt((m + 1) n) for <a† b>:
+    both sums keep the bits of np.sum over the whole products. A leaf is one pair only when
+    the view is, as numpy's (2.4, x86-64) complex multiply rounds a one-element array
+    otherwise. The other temporaries are updated in place, and each sum keeps the arithmetic
+    of a pass of its own."""
     view = state.sector_view
-    size = len(view.amps)
-    # a pure view is read as it is: only a mixture's scaled blocks need the buffer
-    block = None if view.roots is None else np.empty(min(size, VIEW_BLOCK + 2), complex)
-    p = np.empty(size)
-    for lo in range(0, size, VIEW_BLOCK):
-        hi = min(size, lo + VIEW_BLOCK)
-        np.abs(view.scaled(lo, hi, block), out=p[lo:hi])
+    m, n = view.levels()
+    p = np.empty(len(m))
+    ends = view.starts[1:-1] - 1  # the pairs that span two sectors
+
+    def leaf_sum(lo: int, hi: int) -> np.ndarray:
+        a = view.scaled(lo, hi + 1)
+        np.abs(a, out=p[lo : hi + 1])
+        pairs = np.conj(a[:-1])
+        pairs *= a[1:]
+        pairs[ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo] = 0.0
+        total = np.add.reduce(pairs)
+        pairs *= np.sqrt((m[lo:hi] + 1.0) * n[lo:hi])
+        return np.array([total, np.add.reduce(pairs)])
+
+    e_rel, adagb = _pairwise_sum(len(m) - 1, leaf_sum, VIEW_BLOCK)
     np.square(p, out=p)
     sector_p = np.add.reduceat(p, view.starts[:-1])
     dev = np.empty_like(sector_p)
     tot1 = _weighted_sum(sector_p, view.totals, dev)
     np.subtract(view.totals, tot1, out=dev)
     tot_var = _weighted_sum(sector_p, np.square(dev, out=dev), dev)
-    m, n = view.levels()
     edge_mass = float(np.sum(p[(m == state.cutoff) | (n == state.cutoff)]))
     tmp = np.empty_like(p)
     na, nb = _weighted_sum(p, m, tmp), _weighted_sum(p, n, tmp)
     m_var = _weighted_sum(p, np.square(np.subtract(m, na, out=tmp), out=tmp), tmp)
     n_var = _weighted_sum(p, np.square(np.subtract(n, nb, out=tmp), out=tmp), tmp)
     nanb = _weighted_sum(p, np.multiply(m, n, out=tmp), tmp)
-    roots = np.add(m[:-1], 1.0, out=tmp[:-1])  # <a† b> weighs the pairs by sqrt((m + 1) n)
-    roots *= n[:-1]
-    np.sqrt(roots, out=roots)
-    del p, m, n
-    pairs = np.empty(size - 1, dtype=np.complex128)  # conj(a[i]) a[i + 1], 0 across sectors
-    # numpy (2.4, x86-64) multiplies a one-element complex array in its scalar loop, whose
-    # rounding differs from the vector loop's: a last block of one pair joins the one before
-    cuts = [*range(0, size - 1, VIEW_BLOCK), size - 1]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        a = view.scaled(lo, hi + 1, block)
-        np.conj(a[:-1], out=pairs[lo:hi])
-        pairs[lo:hi] *= a[1:]
-    pairs[view.starts[1:-1] - 1] = 0.0
-    e_rel = complex(np.sum(pairs))
-    pairs *= roots
-    hz = HZMoments(complex(np.sum(pairs)).conjugate(), nanb, na, nb)
-    return NumberMoments(tot1, tot_var, m_var, n_var), e_rel, hz, edge_mass
+    hz = HZMoments(complex(adagb).conjugate(), nanb, na, nb)
+    return NumberMoments(tot1, tot_var, m_var, n_var), complex(e_rel), hz, edge_mass
 
 
 def number_moments(state: State) -> NumberMoments:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fock import PureTwoModeState, State, require_array_bytes
+from .fock import PureTwoModeState, State, _pairwise_sum, require_array_bytes
 
 TWO_PI = 2.0 * math.pi
 DENSITY_NORM_TOL = 1e-8
@@ -39,11 +39,11 @@ DEFAULT_BOOTSTRAP_RESAMPLES = 200
 # process-wide interval is lowered only while that work runs beside a helper,
 # and restored as soon as it ends.
 DRAW_CHUNK = 1 << 18  # bootstrap indices drawn per rng.integers call
-# A bootstrap worker gathers and sums its resample one node of numpy's pairwise-sum
-# tree at a time (see _pairwise_sum), in a buffer of this many complex values (4 MB).
-# Each node costs two GIL hand-offs beside the CSV writer, so the nodes are few: 4
-# a resample at 10^6 shots (2^17 values, 8 nodes, was slower in paired runs). It
-# must be at least 64, the node numpy sums unsplit.
+# A bootstrap worker gathers and sums its resample one leaf of numpy's pairwise-sum
+# tree at a time (fock._pairwise_sum, the walker the view sums use too), in a buffer
+# of this many complex values (4 MB). Each leaf costs two GIL hand-offs beside the
+# CSV writer, so the leaves are few: 4 a resample at 10^6 shots (2^17 values, 8
+# leaves, was slower in paired runs). The walker refuses a cap below 64 values.
 BOOTSTRAP_LEAF = 1 << 18
 CSV_CHUNK_ROWS = 1 << 8  # rows formatted per write
 OVERLAP_SWITCH_INTERVAL = 1e-4  # seconds
@@ -574,22 +574,6 @@ class _Team:
             raise errors[0]
 
 
-def _pairwise_sum(n: int, leaf_sum: Callable[[int, int], np.complex128], lo: int = 0):
-    """``np.add.reduce`` of n complex values, from ``leaf_sum(lo, hi)`` of its tree's nodes.
-
-    numpy sums n complex values, 2n doubles, as a tree: a node of m doubles
-    splits at m//2 - (m//2) % 8 doubles, down to nodes of at most 128 doubles,
-    each summed in eight accumulators. Split the same way down to nodes of at
-    most BOOTSTRAP_LEAF values (all of which numpy splits the same way), each
-    summed by ``leaf_sum`` with ``np.add.reduce``, and add the halves in tree
-    order: the sum has the bits of one ``np.add.reduce`` of all n values.
-    """
-    if n <= BOOTSTRAP_LEAF:
-        return leaf_sum(lo, lo + n)
-    half = (n - n % 8) // 2
-    return _pairwise_sum(half, leaf_sum, lo) + _pairwise_sum(n - half, leaf_sum, lo + half)
-
-
 def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, alongside):
     """The resampled dispersions, in draw order, with ``alongside()`` run on the calling thread.
 
@@ -625,7 +609,7 @@ def _bootstrap_values(z: np.ndarray, rng: np.random.Generator, resamples: int, a
                 for lo in range(0, n, DRAW_CHUNK):
                     hi = min(n, lo + DRAW_CHUNK)
                     idx[lo:hi] = rng.integers(0, n, hi - lo)
-            mean = _pairwise_sum(n, leaf_sum) / np.intp(n)
+            mean = _pairwise_sum(n, leaf_sum, BOOTSTRAP_LEAF) / np.intp(n)
             vals[i] = 1.0 - abs(complex(mean)) ** 2
 
     def buffers():

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 from typing import Callable
@@ -14,6 +15,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+def pytest_report_header(config):
+    """numpy's version and the SIMD targets it dispatched three kernels to, whose bits differ
+    between targets (ROADMAP item 9): on a host without the targets the goldens were recorded
+    at, the byte pins fail in their last bits, and these lines say why."""
+    lines = [f"numpy {np.__version__}"]
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 does not report its targets
+        lines.append("numpy dispatch targets: not reported")
+    else:
+        kernels = (("exp", "float64"), ("multiply", "complex128"), ("absolute", "complex128"))
+        targets = [f"{func} {dtype} {entry['current']}" for func, dtype in kernels
+                   for entry in opt_func_info(f"^{func}$", dtype)[func].values()]
+        lines.append("numpy dispatch targets: " + ", ".join(targets))
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        lines.append(f"NPY_DISABLE_CPU_FEATURES={os.environ['NPY_DISABLE_CPU_FEATURES']}")
+    return lines
 
 
 @pytest.fixture(autouse=True)

@@ -369,24 +369,25 @@ def test_mixture_dispersion_never_below_best_sector(seed):
     assert e_mix <= weighted + 1e-12
 
 
-# The view sums scale a mixture's amplitudes by their roots a block at a time; the sums over the
-# scaled copy that the view used to hold are the oracle, compared by the repr of every value.
-VIEW_BLOCKS = [2, 3, 7, 16, observables.VIEW_BLOCK]
+# The view sums scale a mixture's amplitudes by their roots a leaf of the pairwise tree at a
+# time; the sums over the scaled copy that the view used to hold are the oracle, compared by the
+# repr of every value. The leaf caps start at 64, the smallest the tree walker accepts.
+VIEW_BLOCKS = [64, 65, 100, observables.VIEW_BLOCK]
 
 
 @given(seed=st.integers(0, 2**32 - 1),
        totals=st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True).map(sorted))
 @settings(max_examples=80)
 def test_view_sums_of_raw_sectors_keep_the_scaled_copy_bits(seed, totals):
-    """Zero-weight and all-zero sectors, single entries, signed zeros, and blocks from two
-    entries (sectors split by block edges) to longer than the view."""
+    """Zero-weight and all-zero sectors, single entries, signed zeros, and leaf caps from 64
+    pairs (sectors split by leaf edges) to longer than the view."""
     amps, starts, totals, weights = raw_sectors(seed, totals)
     view = fock._weighted_view(amps, starts, totals, weights)
     want = oracle_weighted_view(amps, starts, totals, weights)
     for name in ("starts", "totals", "first_m"):
         assert np.array_equal(getattr(view, name), getattr(want, name))
     size = len(view.amps)
-    assert view.scaled(0, size, np.empty(size, complex)).tobytes() == want.amps.tobytes()
+    assert view.scaled(0, size).tobytes() == want.amps.tobytes()
     state = SimpleNamespace(sector_view=view, cutoff=int(totals[-1]))
     for block in VIEW_BLOCKS:
         with mock.patch.object(observables, "VIEW_BLOCK", block):
@@ -414,11 +415,44 @@ VIEW_STATES = {
 }
 
 
-@pytest.mark.parametrize("block", [61, observables.VIEW_BLOCK])
+@pytest.mark.parametrize("block", [64, observables.VIEW_BLOCK])
 @pytest.mark.parametrize("case", VIEW_STATES)
 def test_view_sums_keep_the_scaled_copy_bits(case, block, monkeypatch):
     """Mixtures and pure states of each kind: fixed-total, diagonal and grid."""
     state = VIEW_STATES[case]()
+    monkeypatch.setattr(observables, "VIEW_BLOCK", block)
+    got = observables._view_sums(state)
+    assert repr(got) == repr(oracle_view_sums(oracle_scaled_view(state), state.cutoff))
+
+
+def _ending_in_one_pair(total: int) -> np.ndarray:
+    """Sector amplitudes that are all but nil before their last pair, so that the view sums take
+    that pair's product bits: numpy (2.4, x86-64) multiplies it in place in a one-element array
+    with other rounding than in a longer one."""
+    return np.concatenate((np.full(total - 1, 1e-30), [0.13 - 0.13j, 0.64 + 0.1j]))
+
+
+def _mixture(totals: list[int]):
+    dist = fock.NumberDistribution(totals, [1.0 / len(totals)] * len(totals))
+    return mixture_from_sector_amplitudes(dist, joined(_ending_in_one_pair))
+
+
+EDGE_VIEWS = {
+    "two entries, pure": lambda block: PureTwoModeState.from_sector(1, _ending_in_one_pair(1)),
+    "two entries, mixture": lambda block: _mixture([1]),
+    # 2 * block + 1 pairs: fixed blocks of ``block`` pairs would leave the last pair alone
+    "one pair past a block edge, pure": lambda block: PureTwoModeState.from_sector(
+        2 * block + 1, _ending_in_one_pair(2 * block + 1)),
+    "one pair past a block edge, mixture": lambda block: _mixture([20, 2 * block - 20]),
+}
+
+
+@pytest.mark.parametrize("block", VIEW_BLOCKS)
+@pytest.mark.parametrize("case", EDGE_VIEWS)
+def test_view_sums_of_one_pair_and_past_a_block_edge_keep_the_bits(case, block, monkeypatch):
+    """Views whose last pair a block of its own would hold alone: a leaf of the pairwise tree
+    is one pair only when the whole view is, and the oracle then multiplies that pair alone too."""
+    state = EDGE_VIEWS[case](block)
     monkeypatch.setattr(observables, "VIEW_BLOCK", block)
     got = observables._view_sums(state)
     assert repr(got) == repr(oracle_view_sums(oracle_scaled_view(state), state.cutoff))
@@ -433,9 +467,24 @@ def test_mixture_view_reads_its_amplitudes_in_place():
     assert dropped.totals.tolist() == [0, 2, 9] and not dropped.amps.flags.writeable
 
 
+def test_view_sums_scale_each_amplitude_once():
+    # each leaf of the pairwise tree scales its entries and the next one: at most size + leaves
+    # entries a report, where scaling |amps|^2 and the pairs in passes of their own makes 2 size
+    mix = flat_mixture(gaussian_distribution(400.0, 40.0))
+    size = len(mix.amps)
+    leaves = []
+    fock._pairwise_sum(size - 1, lambda lo, hi: leaves.append(hi - lo) or 0j,
+                       observables.VIEW_BLOCK)
+    with mock.patch.object(fock.SectorView, "scaled", autospec=True,
+                           side_effect=fock.SectorView.scaled) as scaled:
+        observables._view_sums(mix)
+    formed = sum(hi - lo for _, lo, hi in (c.args for c in scaled.call_args_list))
+    assert len(leaves) > 1 and formed <= size + len(leaves)
+
+
 def test_mixture_report_holds_no_scaled_copy():
-    # |amps|^2, the two levels and one float temporary (32 bytes an entry) and the block
-    # buffer; the scaled copy of the amplitudes (16 bytes an entry) breaks the bound
+    # |amps|^2, the two levels and one float temporary (32 bytes an entry), and one leaf's
+    # arrays; the scaled copy of the amplitudes (16 bytes an entry) breaks the bound
     mix = flat_mixture(gaussian_distribution(400.0, 40.0))
     size = len(mix.amps)
     peak = traced_peak(lambda: observable_report(mix))

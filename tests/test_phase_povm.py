@@ -1106,32 +1106,54 @@ PAIRWISE_SIZES = sorted({
 
 
 class TestPairwiseSum:
-    """The leaf-by-leaf sum of a resample has the bits of one sum of its full gather.
+    """The walker's leaf-by-leaf sum has the bits of one sum of all its values: a resample's
+    full gather, or the view sums' neighbor products.
 
     It relies on numpy's pairwise-sum tree; a numpy whose tree differs fails here.
     """
 
     @pytest.mark.parametrize("leaf", [None, 64, 100])
-    def test_sum_and_mean_equal_the_full_gather(self, monkeypatch, leaf):
-        if leaf is not None:
-            monkeypatch.setattr(phase_povm, "BOOTSTRAP_LEAF", leaf)
+    def test_sum_and_mean_equal_the_full_gather(self, leaf):
+        cap = phase_povm.BOOTSTRAP_LEAF if leaf is None else leaf
         rng = np.random.default_rng(2024)
         sizes = PAIRWISE_SIZES if leaf is None else [n for n in PAIRWISE_SIZES if n < 5000]
         for n in sizes:
             z = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
             gathered = z[rng.integers(0, n, n)]
-            total = phase_povm._pairwise_sum(n, lambda lo, hi: np.add.reduce(gathered[lo:hi]))
+            total = fock._pairwise_sum(n, lambda lo, hi: np.add.reduce(gathered[lo:hi]), cap)
             assert total.tobytes() == np.add.reduce(gathered).tobytes(), n
             # np.mean divides its sum by an intp count, as the bootstrap does
             assert (total / np.intp(n)).tobytes() == np.mean(gathered).tobytes(), n
 
     def test_leaves_are_at_most_the_cap_and_cover_every_shot(self):
         leaves = []
-        phase_povm._pairwise_sum(1_000_000, lambda lo, hi: leaves.append((lo, hi)) or 0j)
+        fock._pairwise_sum(1_000_000, lambda lo, hi: leaves.append((lo, hi)) or 0j,
+                           phase_povm.BOOTSTRAP_LEAF)
         assert leaves[0][0] == 0 and leaves[-1][1] == 1_000_000
         assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
         assert max(hi - lo for lo, hi in leaves) <= phase_povm.BOOTSTRAP_LEAF
         assert len(leaves) == 4
+
+    def test_sums_carried_together_equal_their_own_sums(self):
+        # a leaf may return several sums in one array, as the view sums' leaves do
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 1 << 14, (1 << 14) + 1, 100_003):
+            z = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+
+            def leaf_sum(lo, hi):
+                return np.array([np.add.reduce(z[0, lo:hi]), np.add.reduce(z[1, lo:hi])])
+
+            total = fock._pairwise_sum(n, leaf_sum, 1 << 14)
+            want = np.array([np.add.reduce(z[0]), np.add.reduce(z[1])])
+            assert total.tobytes() == want.tobytes(), n
+
+    def test_refuses_a_cap_below_the_node_numpy_sums_unsplit(self):
+        z = np.exp(1j * np.random.default_rng(8).uniform(-math.pi, math.pi, 1000))
+        for cap in (1, 7, 63):
+            with pytest.raises(ValueError, match=f"leaf cap {cap} "):
+                fock._pairwise_sum(len(z), lambda lo, hi: np.add.reduce(z[lo:hi]), cap)
+        total = fock._pairwise_sum(len(z), lambda lo, hi: np.add.reduce(z[lo:hi]), 64)
+        assert total.tobytes() == np.add.reduce(z).tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(0, 8))
